@@ -10,14 +10,16 @@ use monarch_core::health::{ErrorClass, TierState};
 use monarch_core::hierarchy::StorageHierarchy;
 use monarch_core::metadata::{MetadataContainer, PlacementState};
 use monarch_core::observe::{
-    LedgerBuckets, LedgerSnapshot, ObserveReport, ReadClass, ReadTiming, ResidencyEventKind,
-    TransitionCause,
+    LedgerBuckets, LedgerSnapshot, ObserveReport, ReadClass, TransitionCause,
 };
 use monarch_core::policy::{DecisionPoint, FeatureSource, PolicyEngine};
 use monarch_core::pool::Lane;
 use monarch_core::stats::Stats;
-use monarch_core::telemetry::{EventKind, TelemetryRegistry, ThroughputSampler};
+use monarch_core::telemetry::{
+    EventKind, ReadOutcome, ReadSpan, TelemetryRegistry, ThroughputSampler,
+};
 use monarch_core::trace::{names, FlowPhase, SpanRecord, QUEUE_TRACK};
+use monarch_core::transfer::{admit_copy, record_transition, Transition, EVICT_TO_MAKE_ROOM};
 use monarch_core::{LaneQueues, StorageDriver};
 use simfs::clock::SimTime;
 use simfs::fault::FaultPlan;
@@ -181,6 +183,16 @@ struct MonarchSim {
     flow_start_pending: FxHashMap<usize, u64>,
     /// Trace identity of each dispatched copy (tracing runs only).
     copy_trace: FxHashMap<usize, CopyTrace>,
+}
+
+impl MonarchSim {
+    /// Record a placement transition of `file` at virtual instant `now`
+    /// through the fan-out the real engine uses (the sim has no peer-cache
+    /// view).
+    fn transition(&self, now: SimTime, file: &str, transition: Transition<'_>) {
+        let t_us = vmicros(now);
+        record_transition(&self.telemetry, &self.policy, None, t_us, file, transition);
+    }
 }
 
 /// Virtual-time trace identity of one dispatched placement copy: the
@@ -840,12 +852,12 @@ impl World {
                     {
                         ms.lanes.push(Lane::Demand, i);
                         ms.copy_enqueued.insert(i, now);
-                        ms.telemetry.stats().copy_scheduled();
-                        ms.telemetry.event_at(
-                            vmicros(now),
-                            EventKind::CopyScheduled {
-                                file: self.shard_names[i].clone(),
+                        ms.transition(
+                            now,
+                            &self.shard_names[i],
+                            Transition::Scheduled {
                                 bytes: self.geom.shards[i].bytes,
+                                prefetch: false,
                             },
                         );
                         if tr.is_enabled() {
@@ -952,15 +964,15 @@ impl World {
                 ms.plan_issued = 0;
                 let source = ms.tier_dev.len() - 1;
                 for shard in ms.lanes.drain_prefetch() {
-                    // A plan boundary withdraws still-queued prefetches;
-                    // the timeline records the cancellation like the real
-                    // engine's `plan()` does.
-                    ms.telemetry.observe().timeline().record_at(
-                        vmicros(now),
+                    // A plan boundary withdraws still-queued prefetches,
+                    // recorded like the real engine's `plan()` does.
+                    ms.transition(
+                        now,
                         &self.shard_names[shard],
-                        source,
-                        ResidencyEventKind::Canceled,
-                        TransitionCause::Plan,
+                        Transition::Withdrawn {
+                            tier: source,
+                            cause: TransitionCause::Plan,
+                        },
                     );
                 }
                 ms.prefetch_issued.clear();
@@ -1090,19 +1102,9 @@ impl World {
                         if tier_health.probe_permit(t_us) {
                             let cfg = health.config();
                             tier_health.probe_result(!faulted, &cfg, t_us);
-                            ms.telemetry.event_at(
-                                t_us,
-                                EventKind::TierProbed {
-                                    tier: info.tier,
-                                    ok: !faulted,
-                                },
-                            );
+                            ms.telemetry.tier_probed(t_us, info.tier, !faulted);
                             if faulted {
                                 serve_tier = source_tier;
-                            } else {
-                                ms.telemetry.stats().tier_recovery();
-                                ms.telemetry
-                                    .event_at(t_us, EventKind::TierRecovered { tier: info.tier });
                             }
                         } else {
                             serve_tier = source_tier;
@@ -1113,21 +1115,12 @@ impl World {
                         let (state, transitioned) =
                             tier_health.record_error(ErrorClass::Transient, &cfg, t_us);
                         if transitioned && state == TierState::Quarantined {
-                            ms.telemetry.stats().tier_quarantine();
-                            ms.telemetry.event_at(
-                                t_us,
-                                EventKind::TierQuarantined {
-                                    tier: info.tier,
-                                    reason: "injected device fault".into(),
-                                },
-                            );
+                            let reason = "injected device fault".into();
+                            ms.telemetry.tier_quarantined(t_us, info.tier, reason);
                         }
                         serve_tier = source_tier;
                     } else {
                         tier_health.record_success(&health.config(), t_us);
-                    }
-                    if serve_tier != info.tier {
-                        ms.telemetry.stats().degraded_read();
                     }
                 }
                 let dev = ms.tier_dev[serve_tier];
@@ -1136,18 +1129,7 @@ impl World {
                 // — one copy, higher priority, no duplicate.
                 let mut promoted = false;
                 if ms.prefetch_lookahead > 0 && ms.lanes.promote_where(|&s| s == shard) {
-                    ms.telemetry.stats().prefetch_promote();
-                    ms.telemetry.event_at(
-                        vmicros(now),
-                        EventKind::PrefetchPromoted { file: name.clone() },
-                    );
-                    ms.telemetry.observe().timeline().record_at(
-                        vmicros(now),
-                        name,
-                        info.tier,
-                        ResidencyEventKind::Promoted,
-                        TransitionCause::Demand,
-                    );
+                    ms.transition(now, name, Transition::Promoted { tier: info.tier });
                     promoted = true;
                 }
                 if info.state == PlacementState::Unplaced {
@@ -1162,12 +1144,12 @@ impl World {
                         ) {
                             ms.lanes.push(Lane::Demand, shard);
                             ms.copy_enqueued.insert(shard, now);
-                            ms.telemetry.stats().copy_scheduled();
-                            ms.telemetry.event_at(
-                                vmicros(now),
-                                EventKind::CopyScheduled {
-                                    file: name.clone(),
-                                    bytes: self.geom.shards[shard].bytes,
+                            ms.transition(
+                                now,
+                                name,
+                                Transition::Scheduled {
+                                    bytes,
+                                    prefetch: false,
                                 },
                             );
                             let tr = Arc::clone(ms.telemetry.trace());
@@ -1205,12 +1187,12 @@ impl World {
                             DecisionPoint::DemandAdmit,
                         ) {
                             let size = bytes;
-                            ms.telemetry.stats().copy_scheduled();
-                            ms.telemetry.event_at(
-                                vmicros(now),
-                                EventKind::CopyScheduled {
-                                    file: name.clone(),
-                                    bytes: size,
+                            ms.transition(
+                                now,
+                                name,
+                                Transition::Scheduled {
+                                    bytes,
+                                    prefetch: false,
                                 },
                             );
                             // The chunk-spill path cannot execute victim
@@ -1239,14 +1221,7 @@ impl World {
                                 }
                                 _ => {
                                     ms.skips += 1;
-                                    ms.telemetry.stats().placement_skip();
-                                    ms.telemetry.event_at(
-                                        vmicros(now),
-                                        EventKind::PlacementSkipped {
-                                            file: name.clone(),
-                                            reason: "no local tier had room".into(),
-                                        },
-                                    );
+                                    ms.transition(now, name, Transition::Skipped);
                                     let _ = ms.meta.abort_copy(name, true);
                                 }
                             }
@@ -1339,13 +1314,10 @@ impl World {
         let total = self.geom.shards[shard].bytes;
         let len = self.chunk_bytes.min(total - offset);
         let dev = self.route_chunk(now, r, shard);
-        let mut traced = false;
-        if let Some(ms) = self.monarch.as_ref() {
-            if let Some(tier) = ms.tier_dev.iter().position(|&d| d == dev) {
-                ms.telemetry.stats().record_read(tier, len);
-            }
-            traced = ms.telemetry.trace().sample_read();
-        }
+        let traced = self
+            .monarch
+            .as_ref()
+            .is_some_and(|ms| ms.telemetry.trace().sample_read());
         let latency = self.sample_latency(dev);
         let sync_cap = self.devs[dev].spec.sync_stream_cap;
         // Epoch ≥ 2 of vanilla-caching reads the expanded cache files.
@@ -1383,12 +1355,13 @@ impl World {
         SimTime::from_secs_f64(s)
     }
 
-    /// Record the virtual-time span tree of one sampled chunk read:
-    /// `read` with `metadata_lookup` / `tier_resolve` / `driver_pread`
-    /// children, the same shape the real middleware records. A PFS-served
-    /// read whose shard has a copy awaiting its flow start carries the
-    /// `ph:"s"` endpoint on its `driver_pread`.
-    fn record_read_spans(
+    /// Record one completed chunk read, in virtual time, through the same
+    /// [`ReadOutcome`] fan-out the real read path uses. The lookup and
+    /// resolve phases are instantaneous in virtual time, so the whole
+    /// device time is pread time; a sampled read's `driver_pread` carries
+    /// the flow start of a copy its PFS-served shard scheduled.
+    #[allow(clippy::too_many_arguments)]
+    fn record_chunk_read(
         &mut self,
         now: SimTime,
         dev: usize,
@@ -1396,123 +1369,50 @@ impl World {
         shard: usize,
         issued: SimTime,
         bytes: u64,
+        traced: bool,
     ) {
         let lustre = self.lustre;
         let Some(ms) = self.monarch.as_mut() else {
             return;
         };
-        let tr = Arc::clone(ms.telemetry.trace());
-        if !tr.is_enabled() {
-            return;
-        }
-        let tid = SIM_READER_TRACK0 + reader as u64;
-        let t0 = vmicros(issued);
-        let dur = vmicros(now - issued).max(1);
-        let read_id = tr.next_id();
-        let tier = ms
-            .tier_dev
-            .iter()
-            .position(|&d| d == dev)
-            .unwrap_or(ms.tier_dev.len() - 1);
-        let tier_name = ms
-            .hierarchy
-            .tier(tier)
-            .map(|t| t.name.clone())
-            .unwrap_or_default();
-        // The lookup and resolve steps are instantaneous in virtual time;
-        // zero-duration children keep the tree shape identical.
-        tr.record(
-            SpanRecord::new(names::METADATA_LOOKUP, "read", tid, t0, 0)
-                .with_id(tr.next_id())
-                .with_parent(read_id),
-        );
-        tr.record(
-            SpanRecord::new(names::TIER_RESOLVE, "read", tid, t0, 0)
-                .with_id(tr.next_id())
-                .with_parent(read_id),
-        );
-        let mut pread = SpanRecord::new(names::DRIVER_PREAD, "read", tid, t0, dur)
-            .with_id(tr.next_id())
-            .with_parent(read_id)
-            .arg_str("tier", tier_name)
-            .arg_u64("bytes", bytes);
-        if dev == lustre {
-            if let Some(flow) = ms.flow_start_pending.remove(&shard) {
-                pread = pread.with_flow(flow, FlowPhase::Start);
-            }
-        }
-        tr.record(pread);
-        tr.record(
-            SpanRecord::new(names::READ, "read", tid, t0, dur)
-                .with_id(read_id)
-                .arg_str("file", self.shard_names[shard].clone())
-                .arg_u64("bytes", bytes),
-        );
-    }
-
-    /// Feed one completed chunk read to the access profiler, classified
-    /// the way the real read path classifies: a local-tier serve is
-    /// `Fast`; a PFS serve is `PrefetchLag` when the epoch plan covers
-    /// the shard, `LaneSaturated` when its copy is already in flight,
-    /// and `PfsCold` otherwise. Virtual lookups are instantaneous, so
-    /// the whole device time is pread time.
-    fn profile_chunk_read(
-        &mut self,
-        now: SimTime,
-        dev: usize,
-        shard: usize,
-        issued: SimTime,
-        bytes: u64,
-    ) {
-        let lustre = self.lustre;
-        let Some(ms) = self.monarch.as_ref() else {
-            return;
-        };
-        let profiler = ms.telemetry.observe().profiler();
-        if !profiler.is_enabled() {
-            return;
-        }
         let name = &self.shard_names[shard];
-        let tier = ms
-            .tier_dev
-            .iter()
-            .position(|&d| d == dev)
-            .unwrap_or(ms.tier_dev.len() - 1);
-        let class = if dev != lustre {
-            ReadClass::Fast
-        } else if matches!(
-            ms.meta.get(name),
-            Some(info) if info.tier != ms.tier_dev.len() - 1
-                && info.state == PlacementState::Placed
-        ) {
-            // Resident on a local tier but served from the PFS: the tier
-            // is quarantined (or failing) and the read fell back.
-            ReadClass::DegradedFallback
-        } else if ms.prefetch_lookahead > 0 && ms.plan_pos.contains_key(&shard) {
-            ReadClass::PrefetchLag
-        } else if matches!(
-            ms.meta.get(name),
-            Some(info) if matches!(info.state, PlacementState::Copying { .. })
-        ) {
-            ReadClass::LaneSaturated
-        } else {
-            ReadClass::PfsCold
-        };
+        let source = ms.tier_dev.len() - 1;
+        let served = ms.tier_dev.iter().position(|&d| d == dev).unwrap_or(source);
+        // Only a PFS-served read needs the metadata: one of a shard
+        // resident on a local tier fell back around a quarantined (or
+        // failing) tier; otherwise the plan and copy state say why.
+        let from_source = served == source;
+        let info = from_source.then(|| ms.meta.get(name)).flatten();
+        let resident = info.as_ref().map_or(served, |info| info.tier);
+        let class = ReadClass::classify(
+            resident,
+            Some(served),
+            source,
+            from_source && ms.prefetch_lookahead > 0 && ms.plan_pos.contains_key(&shard),
+            info.is_some_and(|info| matches!(info.state, PlacementState::Copying { .. })),
+        );
         let d = vmicros(now - issued);
-        profiler.record_read(
-            name,
-            tier,
+        let span = traced.then(|| ReadSpan {
+            tid: SIM_READER_TRACK0 + reader as u64,
+            id: ms.telemetry.trace().next_id(),
+            flow: if dev == lustre {
+                ms.flow_start_pending.remove(&shard).unwrap_or(0)
+            } else {
+                0
+            },
+            ..ReadSpan::default()
+        });
+        ms.telemetry.record_read(&ReadOutcome {
+            file: name,
+            resident,
+            served: Some(served),
             bytes,
             class,
-            false,
-            ReadTiming {
-                wall_us: d,
-                pread_us: d,
-                lock_queue_us: 0,
-                copy_wait_us: 0,
-            },
-            vmicros(now),
-        );
+            prefetch_hit: false,
+            start_us: vmicros(now).saturating_sub(d),
+            phases_ns: [0, 0, d * 1_000, 0],
+            span,
+        });
     }
 
     // -- transfer completions ----------------------------------------------
@@ -1536,10 +1436,7 @@ impl World {
                 );
                 self.buffered_samples += samples;
                 self.readers[reader].inflight = false;
-                if traced {
-                    self.record_read_spans(now, dev, reader, shard, issued, bytes);
-                }
-                self.profile_chunk_read(now, dev, shard, issued, bytes);
+                self.record_chunk_read(now, dev, reader, shard, issued, bytes, traced);
 
                 // Cache spills: vanilla-caching epoch 1, or MONARCH with
                 // the full-file fetch disabled.
@@ -1693,35 +1590,20 @@ impl World {
                 ms.meta.finish_copy(&name, tier).expect("finish copy");
                 ms.policy.on_placed(&name, size, tier);
                 ms.pending_copy_writes -= 1;
-                ms.telemetry.stats().copy_completed();
                 ms.telemetry.stats().record_write(tier, size);
-                ms.telemetry.observe().timeline().record_at(
-                    vmicros(now),
-                    &name,
-                    tier,
-                    ResidencyEventKind::Admitted,
-                    if ms.prefetch_issued.contains_key(&shard) {
-                        TransitionCause::Plan
-                    } else {
-                        TransitionCause::Demand
-                    },
-                );
                 let started = ms.copy_started.remove(&shard);
-                let micros = match started {
-                    Some(at) => {
-                        let d = now - at;
-                        ms.telemetry.copy_duration().record(vnanos(d));
-                        vmicros(d)
-                    }
-                    None => 0,
-                };
-                ms.telemetry.event_at(
-                    vmicros(now),
-                    EventKind::CopyCompleted {
-                        file: name.clone(),
+                ms.transition(
+                    now,
+                    &name,
+                    Transition::Admitted {
                         tier,
                         bytes: size,
-                        micros,
+                        cause: if ms.prefetch_issued.contains_key(&shard) {
+                            TransitionCause::Plan
+                        } else {
+                            TransitionCause::Demand
+                        },
+                        copy_ns: started.map(|at| vnanos(now - at)),
                     },
                 );
                 if let Some(ct) = ms.copy_trace.remove(&shard) {
@@ -1804,22 +1686,15 @@ impl World {
                             ms.copy_target.remove(&shard);
                             ms.chunk_written.remove(&shard);
                             ms.meta.finish_copy(&name, tier).expect("finish");
-                            ms.telemetry.stats().copy_completed();
                             ms.telemetry.stats().record_write(tier, total);
-                            ms.telemetry.observe().timeline().record_at(
-                                vmicros(now),
+                            ms.transition(
+                                now,
                                 &name,
-                                tier,
-                                ResidencyEventKind::Admitted,
-                                TransitionCause::Demand,
-                            );
-                            ms.telemetry.event_at(
-                                vmicros(now),
-                                EventKind::CopyCompleted {
-                                    file: name.clone(),
+                                Transition::Admitted {
                                     tier,
                                     bytes: total,
-                                    micros: 0,
+                                    cause: TransitionCause::Demand,
+                                    copy_ns: None,
                                 },
                             );
                         }
@@ -1865,29 +1740,16 @@ impl World {
             let cfg = health.config();
             let (state, transitioned) = health.tier(tier).record_error(class, &cfg, t_us);
             if transitioned && state == TierState::Quarantined {
-                ms.telemetry.stats().tier_quarantine();
-                ms.telemetry.event_at(
-                    t_us,
-                    EventKind::TierQuarantined {
-                        tier,
-                        reason: "copy write-back failed under injected fault".into(),
-                    },
-                );
+                let reason = "copy write-back failed under injected fault".into();
+                ms.telemetry.tier_quarantined(t_us, tier, reason);
             }
-            ms.telemetry.stats().copy_requeue();
-            ms.telemetry.event_at(
-                t_us,
-                EventKind::CopyRequeued {
-                    file: name.to_string(),
-                    reason: "target tier failed during write-back".into(),
-                },
-            );
-            ms.telemetry.observe().timeline().record_at(
-                t_us,
+            ms.transition(
+                now,
                 name,
-                tier,
-                ResidencyEventKind::Canceled,
-                TransitionCause::Demand,
+                Transition::Requeued {
+                    tier: Some(tier),
+                    reason: "target tier failed during write-back",
+                },
             );
         }
         self.dispatch_copy_workers(now);
@@ -2006,42 +1868,31 @@ impl World {
         let bytes = self.geom.shards[shard].bytes;
         if let Some(ms) = self.monarch.as_mut() {
             let tier = ms.copy_target.get(&shard).copied();
-            if let Some(tier) = tier {
-                ms.telemetry.stats().record_read(tier, bytes);
-            }
             let waited = ms
                 .parked_at
                 .remove(&r)
                 .map(|at| vmicros(now - at))
                 .unwrap_or(0);
-            let profiler = ms.telemetry.observe().profiler();
-            if profiler.is_enabled() {
-                // A reader that parked on the staging copy charges its
-                // wait to the prefetch-lag bucket (the prefetcher knew,
-                // but was late); an un-parked buffer hit is a free read.
-                let (class, timing) = if waited > 0 {
-                    (
-                        ReadClass::PrefetchLag,
-                        ReadTiming {
-                            wall_us: waited,
-                            pread_us: 0,
-                            lock_queue_us: 0,
-                            copy_wait_us: waited,
-                        },
-                    )
-                } else {
-                    (ReadClass::Fast, ReadTiming::default())
-                };
-                profiler.record_read(
-                    &self.shard_names[shard],
-                    tier.unwrap_or(0),
-                    bytes,
-                    class,
-                    true,
-                    timing,
-                    vmicros(now),
-                );
-            }
+            // A reader that parked on the staging copy waited on a planned
+            // PFS fetch, so its wait is prefetch lag (the prefetcher knew,
+            // but was late); an un-parked buffer hit is a free fast read.
+            let source = ms.tier_dev.len() - 1;
+            let at = if waited > 0 {
+                source
+            } else {
+                tier.unwrap_or(0)
+            };
+            ms.telemetry.record_read(&ReadOutcome {
+                file: &self.shard_names[shard],
+                resident: tier.unwrap_or(0),
+                served: tier,
+                bytes,
+                class: ReadClass::classify(at, Some(at), source, true, false),
+                prefetch_hit: true,
+                start_us: vmicros(now).saturating_sub(waited),
+                phases_ns: [0, 0, 0, waited * 1_000],
+                span: None,
+            });
         }
         self.readers[r].cur = Some((shard, bytes));
         self.buffered_samples += bytes as f64 * self.samples_per_byte[shard];
@@ -2077,13 +1928,12 @@ impl World {
                     // Staged-but-unread entries are pinned against
                     // eviction until the foreground cursor passes them.
                     ms.policy.pin(name);
-                    ms.telemetry.stats().copy_scheduled();
-                    ms.telemetry.stats().prefetch_scheduled();
-                    ms.telemetry.event_at(
-                        vmicros(now),
-                        EventKind::PrefetchScheduled {
-                            file: name.clone(),
+                    ms.transition(
+                        now,
+                        name,
+                        Transition::Scheduled {
                             bytes: self.geom.shards[shard].bytes,
+                            prefetch: true,
                         },
                     );
                     scheduled = true;
@@ -2111,78 +1961,31 @@ impl World {
         if !ms.meta.begin_copy(name, 0).unwrap_or(false) {
             return false;
         }
-        let admitted = ms.policy.admit(name, bytes, point);
-        let (verdict, reason) = match (admitted, point) {
-            (true, DecisionPoint::DemandAdmit) => {
-                ("admit", "demand miss admitted to the copy pipeline")
-            }
-            (true, _) => ("admit", "plan entry admitted to the prefetch lane"),
-            (false, _) => (
-                "deny",
-                "admission policy refused the copy; the file stays on the PFS",
-            ),
-        };
-        ms.telemetry.event_at(
-            vmicros(now),
-            EventKind::PolicyDecision {
-                file: name.to_string(),
-                point: point.as_str().to_string(),
-                policy: ms.policy.name().to_string(),
-                verdict: verdict.into(),
-                reason: reason.into(),
-            },
-        );
+        let admitted = admit_copy(&ms.telemetry, &ms.policy, vmicros(now), name, bytes, point);
         if !admitted {
-            ms.telemetry.stats().policy_denial();
             let _ = ms.meta.abort_copy(name, false);
         }
         admitted
-    }
-
-    /// Journal a policy-driven eviction and update the policy book — the
-    /// companion of `begin_admitted_copy` for the evict side.
-    fn note_policy_evicted(ms: &MonarchSim, now: SimTime, victim: &str, reason: &str) {
-        ms.policy.on_evicted(victim);
-        ms.telemetry.event_at(
-            vmicros(now),
-            EventKind::PolicyDecision {
-                file: victim.to_string(),
-                point: DecisionPoint::PressureEvict.as_str().to_string(),
-                policy: ms.policy.name().to_string(),
-                verdict: "evict".into(),
-                reason: reason.into(),
-            },
-        );
     }
 
     /// Resolve a copy that found no placement. A quarantined tier requeues
     /// the shard (non-terminal abort, so a post-recovery read re-admits
     /// it); a genuinely full hierarchy skips it terminally, as before.
     fn skip_or_requeue(ms: &mut MonarchSim, now: SimTime, name: &str) {
-        let quarantined = ms
-            .hierarchy
-            .local_tiers()
-            .any(|t| ms.hierarchy.health().tier(t.id).is_quarantined());
+        let quarantined = ms.hierarchy.any_local_quarantined();
         if quarantined {
-            ms.telemetry.stats().copy_requeue();
-            ms.telemetry.event_at(
-                vmicros(now),
-                EventKind::CopyRequeued {
-                    file: name.to_string(),
-                    reason: "tier quarantined".into(),
+            ms.transition(
+                now,
+                name,
+                Transition::Requeued {
+                    tier: None,
+                    reason: "tier quarantined",
                 },
             );
             let _ = ms.meta.abort_copy(name, false);
         } else {
             ms.skips += 1;
-            ms.telemetry.stats().placement_skip();
-            ms.telemetry.event_at(
-                vmicros(now),
-                EventKind::PlacementSkipped {
-                    file: name.to_string(),
-                    reason: "no local tier had room".into(),
-                },
-            );
+            ms.transition(now, name, Transition::Skipped);
             let _ = ms.meta.abort_copy(name, true);
         }
     }
@@ -2215,28 +2018,15 @@ impl World {
                                         .as_ref()
                                         .expect("local tier quota")
                                         .release(vinfo.size);
-                                    ms.telemetry.stats().record_evict(decision.tier);
-                                    ms.telemetry.event_at(
-                                        vmicros(now),
-                                        EventKind::Evicted {
-                                            file: victim.clone(),
-                                            tier: decision.tier,
-                                            bytes: vinfo.size,
-                                        },
-                                    );
-                                    ms.telemetry.observe().timeline().record_at(
-                                        vmicros(now),
-                                        victim,
-                                        decision.tier,
-                                        ResidencyEventKind::Evicted,
-                                        TransitionCause::Policy,
-                                    );
-                                    Self::note_policy_evicted(
-                                        ms,
+                                    ms.transition(
                                         now,
                                         victim,
-                                        "selected by the eviction policy to make room for an \
-                                         incoming copy",
+                                        Transition::Evicted {
+                                            tier: decision.tier,
+                                            bytes: vinfo.size,
+                                            cause: TransitionCause::Policy,
+                                            reason: EVICT_TO_MAKE_ROOM,
+                                        },
                                     );
                                 }
                             }
@@ -2416,5 +2206,61 @@ impl World {
             self.reader_advance(now, r);
         }
         self.maybe_finish_epoch(now);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::MonarchSimConfig;
+    use monarch_core::config::PolicyKind;
+    use monarch_core::observe::ResidencyEventKind;
+
+    #[test]
+    fn each_pressure_eviction_is_recorded_once_in_every_view() {
+        let geom = DatasetGeom::miniature("mini", 16_384, 42);
+        let cap = geom.total_bytes() / 2;
+        let trainer = SimTrainer::new(
+            Setup::Monarch(MonarchSimConfig::policy_ablation(PolicyKind::LruEvict, cap)),
+            geom,
+            ModelProfile::lenet(),
+            PipelineConfig::default().with_seed(1),
+            EnvConfig::congested_pfs(),
+        );
+        let world = World::build(&trainer);
+        let telemetry = Arc::clone(&world.monarch.as_ref().expect("monarch").telemetry);
+        let _ = world.run(3);
+
+        let evictions = telemetry.stats().snapshot().evictions;
+        assert!(evictions > 0, "a half-size tier under LRU must evict");
+        assert_eq!(telemetry.journal().dropped(), 0, "journal kept everything");
+        let events = telemetry.journal().events();
+        let mut journaled: Vec<(String, u64)> = events
+            .iter()
+            .filter(|e| e.kind.tag() == "evicted")
+            .map(|e| (e.kind.file().to_string(), e.t_us))
+            .collect();
+        let mut verdicts: Vec<(String, u64)> = events
+            .iter()
+            .filter(|e| {
+                matches!(&e.kind, EventKind::PolicyDecision { verdict, point, .. }
+                    if verdict == "evict" && point == "pressure_evict")
+            })
+            .map(|e| (e.kind.file().to_string(), e.t_us))
+            .collect();
+        let timeline = telemetry.observe().timeline().snapshot();
+        assert_eq!(timeline.dropped, 0, "timeline kept everything");
+        let mut transitions: Vec<(String, u64)> = timeline
+            .events
+            .iter()
+            .filter(|e| e.kind == ResidencyEventKind::Evicted)
+            .map(|e| (e.file.clone(), e.t_us))
+            .collect();
+        for list in [&mut journaled, &mut verdicts, &mut transitions] {
+            list.sort();
+        }
+        assert_eq!(journaled.len() as u64, evictions);
+        assert_eq!(verdicts, journaled, "one policy verdict per eviction");
+        assert_eq!(transitions, journaled, "one timeline event per eviction");
     }
 }

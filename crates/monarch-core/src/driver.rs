@@ -200,6 +200,16 @@ impl MemDriver {
     }
 }
 
+/// A missing file, reported the way [`PosixDriver`] reports it (an
+/// `io::ErrorKind::NotFound`), so the read path's eviction-race handling
+/// and health classification treat every backend alike.
+fn not_found(file: &str) -> Error {
+    Error::Io(std::io::Error::new(
+        std::io::ErrorKind::NotFound,
+        format!("{file}: no such file"),
+    ))
+}
+
 impl StorageDriver for MemDriver {
     fn name(&self) -> &str {
         &self.name
@@ -208,10 +218,7 @@ impl StorageDriver for MemDriver {
     fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
         let data = {
             let files = self.files.read();
-            files
-                .get(file)
-                .cloned()
-                .ok_or_else(|| Error::UnknownFile(file.into()))?
+            files.get(file).cloned().ok_or_else(|| not_found(file))?
         };
         let start = (offset as usize).min(data.len());
         let n = buf.len().min(data.len() - start);
@@ -224,7 +231,7 @@ impl StorageDriver for MemDriver {
         files
             .get(file)
             .map(|d| d.as_ref().clone())
-            .ok_or_else(|| Error::UnknownFile(file.into()))
+            .ok_or_else(|| not_found(file))
     }
 
     fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
@@ -239,7 +246,7 @@ impl StorageDriver for MemDriver {
             .write()
             .remove(file)
             .map(|_| ())
-            .ok_or_else(|| Error::UnknownFile(file.into()))
+            .ok_or_else(|| not_found(file))
     }
 
     fn file_size(&self, file: &str) -> Result<u64> {
@@ -247,7 +254,7 @@ impl StorageDriver for MemDriver {
         files
             .get(file)
             .map(|d| d.len() as u64)
-            .ok_or_else(|| Error::UnknownFile(file.into()))
+            .ok_or_else(|| not_found(file))
     }
 
     fn list(&self) -> Result<Vec<(String, u64)>> {
@@ -695,6 +702,32 @@ mod tests {
         assert_eq!(d.read_full("f").unwrap(), b"second");
         // No leftover temp files.
         assert_eq!(d.list().unwrap().len(), 1);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn missing_files_are_not_found_on_every_backend() {
+        let root = std::env::temp_dir().join(format!("monarch-missing-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let posix = PosixDriver::new("p", &root).unwrap();
+        let mem = MemDriver::new("m");
+        for d in [&posix as &dyn StorageDriver, &mem] {
+            let mut buf = [0u8; 4];
+            let errors = [
+                d.read_at("gone", 0, &mut buf).err(),
+                d.read_full("gone").err(),
+                d.remove("gone").err(),
+                d.file_size("gone").err(),
+            ];
+            for e in errors {
+                match e {
+                    Some(Error::Io(e)) => {
+                        assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{}", d.name());
+                    }
+                    other => panic!("{}: expected NotFound, got {other:?}", d.name()),
+                }
+            }
+        }
         fs::remove_dir_all(&root).unwrap();
     }
 

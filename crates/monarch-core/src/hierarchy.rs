@@ -186,6 +186,13 @@ impl StorageHierarchy {
         self.tiers[..self.tiers.len() - 1].iter()
     }
 
+    /// Whether any local tier is quarantined right now.
+    #[must_use]
+    pub fn any_local_quarantined(&self) -> bool {
+        self.local_tiers()
+            .any(|t| self.health.tier(t.id).is_quarantined())
+    }
+
     /// All tiers, top to bottom.
     #[must_use]
     pub fn tiers(&self) -> &[Tier] {

@@ -93,8 +93,11 @@ pub use serve::MetricsServer;
 pub use stats::{Stats, StatsSnapshot};
 pub use telemetry::{
     Event, EventJournal, EventKind, Gauge, GaugeGuard, GaugeRegistry, GaugeSnapshot,
-    HistogramSnapshot, LatencyHistogram, StallProfile, StallProfileSnapshot, TelemetryRegistry,
-    TelemetrySnapshot, ThroughputSampler, TimeSeries,
+    HistogramSnapshot, LatencyHistogram, ReadOutcome, ReadSpan, StallProfile, StallProfileSnapshot,
+    TelemetryRegistry, TelemetrySnapshot, ThroughputSampler, TimeSeries,
 };
 pub use trace::{ArgValue, FlowPhase, SpanRecord, TraceRecorder};
-pub use transfer::{DrainReport, GaugeSampler, LaneQueues, ReadCtx, ReadFeedback, TransferEngine};
+pub use transfer::{
+    record_transition, DrainReport, GaugeSampler, LaneQueues, ReadCtx, ReadFeedback,
+    TransferEngine, Transition,
+};

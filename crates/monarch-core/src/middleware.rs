@@ -28,12 +28,14 @@ use crate::cluster::{Cluster, ClusterSnapshot, PeerError};
 use crate::config::MonarchConfig;
 use crate::hierarchy::StorageHierarchy;
 use crate::metadata::{MetadataContainer, PlacementState};
-use crate::observe::{ReadClass, ReadTiming};
+use crate::observe::ReadClass;
 use crate::prefetch::AccessPlan;
 use crate::serve::MetricsServer;
 use crate::stats::{Stats, StatsSnapshot};
-use crate::telemetry::{EventKind, Gauge, GaugeGuard, TelemetryRegistry, TelemetrySnapshot};
-use crate::trace::{names, FlowPhase, SpanRecord};
+use crate::telemetry::{
+    EventKind, Gauge, GaugeGuard, ReadOutcome, ReadSpan, TelemetryRegistry, TelemetrySnapshot,
+};
+use crate::trace::{names, SpanRecord};
 use crate::transfer::{GaugeSampler, ReadCtx, TransferEngine};
 use crate::{Error, Result};
 
@@ -143,40 +145,25 @@ impl Monarch {
             return Err(Error::ShutDown);
         }
         let _handle = GaugeGuard::enter(&self.reads_in_flight);
-        // Sampled reads record a span tree: read → metadata_lookup →
-        // tier_resolve → driver_pread. Timestamps are captured inline (the
-        // spans themselves are built after the I/O completes, off the
-        // timed path); with tracing off this is one branch on an
-        // immutable bool. The stall profiler reuses the same phase
-        // boundaries but runs on *every* completed read (when telemetry is
-        // on), from its own monotonic instants, so the four buckets sum to
-        // this read's wall time.
+        // One clock chain times the read's phases; every view of the read
+        // (counters, stall histograms, profiler, sampled spans) is fed
+        // from it by a single `record_read` once the read completes. With
+        // telemetry off no clock is read at all.
         let tr = self.telemetry.trace();
         let sampled = tr.sample_read();
-        let profiled = self.telemetry.is_enabled();
-        let p_entry = Instant::now();
-        let t0 = if sampled {
-            self.telemetry.now_micros()
-        } else {
-            0
-        };
+        let mut clock = ReadClock::start(self.telemetry.is_enabled());
         // Peer cache: a miss on a peer-owned file is served node-to-node
         // from the owner's fast tier, skipping the PFS entirely when the
         // peer answers. Any peer failure falls through to the normal path.
-        if let Some(n) = self.peer_read(file, offset, buf, p_entry, profiled) {
+        if let Some(n) = self.peer_read(file, offset, buf, &mut clock) {
             return Ok(n);
         }
-        // Residency can change between the lookup and the pread (an LRU
-        // eviction may delete the cache-tier copy we just resolved). A
-        // vanished file is retried against fresh metadata, which by then
-        // points back at the source tier.
-        //
-        // Fault tolerance rides on the same loop: transient device errors
-        // are retried in place with backoff, sustained failure quarantines
-        // the tier and the read falls back down-hierarchy to the PFS
-        // source (graceful degradation — never an error while the source
-        // is healthy), and a read arriving after the quarantine cooldown
-        // may win the half-open probe slot and test the tier directly.
+        // Fault tolerance rides on one loop: transient device errors are
+        // retried in place with backoff, sustained failure quarantines the
+        // tier and the read falls back down-hierarchy to the PFS source
+        // (graceful degradation — never an error while the source is
+        // healthy), and a read arriving after the quarantine cooldown may
+        // win the half-open probe slot and test the tier directly.
         let health = Arc::clone(self.hierarchy.health());
         let retry = health.retry_policy();
         let source_id = self.hierarchy.source_id();
@@ -184,15 +171,10 @@ impl Monarch {
         // Once a pread on the resident tier has failed terminally, every
         // later iteration serves from the PFS source instead.
         let mut fallback = false;
-        let (info, tier, degraded, n, t_lookup, t_resolve, t_pread, p_lookup, p_resolve, p_pread) = loop {
+        let (info, tier, n) = loop {
             let info = self.metadata.lookup_for_read(file)?;
             self.engine.note_access(file, info.tier);
-            let p_lookup = Instant::now();
-            let t_lookup = if sampled {
-                self.telemetry.now_micros()
-            } else {
-                0
-            };
+            clock.mark(ReadClock::LOOKUP);
             if offset >= info.size {
                 return Ok(0);
             }
@@ -213,40 +195,21 @@ impl Monarch {
             } else {
                 resident
             };
-            let degraded = tier.id != info.tier;
-            let p_resolve = Instant::now();
-            let t_resolve = if sampled {
-                self.telemetry.now_micros()
-            } else {
-                0
-            };
+            clock.mark(ReadClock::RESOLVE);
             let want = buf.len().min((info.size - offset) as usize);
             match tier.driver.read_at(file, offset, &mut buf[..want]) {
                 Ok(n) => {
-                    let p_pread = Instant::now();
-                    let t_pread = if sampled {
-                        self.telemetry.now_micros()
-                    } else {
-                        0
-                    };
+                    clock.mark(ReadClock::PREAD);
                     if probing {
                         health
                             .tier(tier.id)
                             .probe_result(true, &health.config(), health.now_us());
-                        self.stats.tier_recovery();
-                        self.telemetry.event(EventKind::TierProbed {
-                            tier: tier.id,
-                            ok: true,
-                        });
-                        self.telemetry
-                            .event(EventKind::TierRecovered { tier: tier.id });
-                    } else if !degraded {
+                        let t_us = self.telemetry.now_micros();
+                        self.telemetry.tier_probed(t_us, tier.id, true);
+                    } else if tier.id == info.tier {
                         health.record_success(tier.id);
                     }
-                    break (
-                        info, tier, degraded, n, t_lookup, t_resolve, t_pread, p_lookup, p_resolve,
-                        p_pread,
-                    );
+                    break (info, tier, n);
                 }
                 Err(e) => {
                     if probing {
@@ -255,10 +218,8 @@ impl Monarch {
                         health
                             .tier(tier.id)
                             .probe_result(false, &health.config(), health.now_us());
-                        self.telemetry.event(EventKind::TierProbed {
-                            tier: tier.id,
-                            ok: false,
-                        });
+                        let t_us = self.telemetry.now_micros();
+                        self.telemetry.tier_probed(t_us, tier.id, false);
                         continue;
                     }
                     let Some(class) = crate::health::device_error_class(&e) else {
@@ -266,31 +227,34 @@ impl Monarch {
                         // test faults) propagate untouched.
                         return Err(e);
                     };
+                    // An eviction race, not a device fault: the file left
+                    // the tier between the lookup and the pread (an LRU
+                    // eviction flips the metadata before it deletes the
+                    // copy). Re-resolve against the fresh metadata without
+                    // charging the tier's health or the retry budget.
+                    if tier.id == info.tier
+                        && tier.id != source_id
+                        && self
+                            .metadata
+                            .get(file)
+                            .is_some_and(|now| now.tier != info.tier)
+                    {
+                        continue;
+                    }
                     let (_, quarantined_now) = health.record_error(tier.id, class);
                     if quarantined_now {
-                        self.stats.tier_quarantine();
-                        self.telemetry.event(EventKind::TierQuarantined {
-                            tier: tier.id,
-                            reason: format!("read failed: {e}"),
-                        });
+                        let t_us = self.telemetry.now_micros();
+                        let reason = format!("read failed: {e}");
+                        self.telemetry.tier_quarantined(t_us, tier.id, reason);
                     }
-                    let transient_not_found = matches!(
-                        &e,
-                        Error::Io(io) if io.kind() == std::io::ErrorKind::NotFound
-                    );
                     if class == crate::health::ErrorClass::Transient
                         && attempts < retry.max_attempts
                     {
                         attempts += 1;
-                        // An eviction race (NotFound) retries immediately
-                        // against fresh metadata, as it always has; real
-                        // device hiccups back off first.
-                        if !transient_not_found {
-                            self.stats.read_retry();
-                            std::thread::sleep(Duration::from_micros(
-                                retry.backoff_us(attempts, offset ^ file.len() as u64),
-                            ));
-                        }
+                        self.stats.read_retry();
+                        std::thread::sleep(Duration::from_micros(
+                            retry.backoff_us(attempts, offset ^ file.len() as u64),
+                        ));
                         continue;
                     }
                     if tier.id != source_id {
@@ -303,10 +267,6 @@ impl Monarch {
                 }
             }
         };
-        self.stats.record_read(tier.id, n as u64);
-        if degraded {
-            self.stats.degraded_read();
-        }
 
         // Allocate the read span id eagerly so the background copy it may
         // spawn can be parented/flow-linked to it.
@@ -334,110 +294,34 @@ impl Monarch {
         // count a hit, upgrade a still-queued prefetch copy to the demand
         // lane, and release more of the plan to the prefetcher.
         let feedback = self.engine.note_read(file, info.tier);
-        if sampled {
-            let tid = tr.register_current_thread();
-            tr.record(
-                SpanRecord::new(names::METADATA_LOOKUP, "read", tid, t0, t_lookup - t0)
-                    .with_id(tr.next_id())
-                    .with_parent(read_id),
-            );
-            tr.record(
-                SpanRecord::new(
-                    names::TIER_RESOLVE,
-                    "read",
-                    tid,
-                    t_lookup,
-                    t_resolve - t_lookup,
-                )
-                .with_id(tr.next_id())
-                .with_parent(read_id)
-                .arg_str("tier", &tier.name),
-            );
+        let (start_us, phases_ns) = clock.finish(&self.telemetry);
+        self.telemetry.record_read(&ReadOutcome {
+            file,
+            resident: info.tier,
+            served: Some(tier.id),
+            bytes: n as u64,
+            class: ReadClass::classify(
+                info.tier,
+                Some(tier.id),
+                source_id,
+                feedback.planned,
+                matches!(info.state, PlacementState::Copying { .. }),
+            ),
+            prefetch_hit: feedback.prefetch_hit,
+            start_us,
+            phases_ns,
             // The flow starts at the foreground pread and finishes at the
-            // background copy_exec — the causal arrow in the viewer.
-            let mut pread = SpanRecord::new(
-                names::DRIVER_PREAD,
-                "read",
-                tid,
-                t_resolve,
-                t_pread - t_resolve,
-            )
-            .with_id(tr.next_id())
-            .with_parent(read_id)
-            .arg_str("tier", &tier.name)
-            .arg_u64("bytes", n as u64);
-            if flow != 0 {
-                pread = pread.with_flow(flow, FlowPhase::Start);
-            }
-            tr.record(pread);
-            let mut read_span = SpanRecord::new(
-                names::READ,
-                "read",
-                tid,
-                t0,
-                self.telemetry.now_micros() - t0,
-            )
-            .with_id(read_id)
-            .with_parent(parent)
-            .arg_str("file", file)
-            .arg_u64("offset", offset)
-            .arg_u64("bytes", n as u64);
-            // Point the read back at the prefetch copy that staged (or is
-            // staging) its file — the clairvoyant analogue of the
-            // demand-path flow arrow.
-            if feedback.flow != 0 {
-                read_span = read_span.arg_u64("prefetch_flow", feedback.flow);
-            }
-            tr.record(read_span);
-        }
-        if profiled {
-            let p_end = Instant::now();
-            self.telemetry
-                .stall_profile()
-                .record(p_entry, p_lookup, p_resolve, p_pread, p_end);
-            if degraded {
-                self.telemetry
-                    .stall_profile()
-                    .record_degraded(p_end - p_entry);
-            }
-            let profiler = self.telemetry.observe().profiler();
-            if profiler.is_enabled() {
-                // Where did this read's time go? A read served off the
-                // source tier is classified by *why* the file was still
-                // there: the plan knew about it (prefetch lagged), a copy
-                // is in flight (lanes saturated), or placement never
-                // happened (cold PFS traffic). A read that *should* have
-                // been fast but was rerouted around a quarantined tier is
-                // its own bucket — the cost of degraded operation.
-                let class = if degraded {
-                    ReadClass::DegradedFallback
-                } else if info.tier != self.hierarchy.source_id() {
-                    ReadClass::Fast
-                } else if feedback.planned {
-                    ReadClass::PrefetchLag
-                } else if matches!(info.state, PlacementState::Copying { .. }) {
-                    ReadClass::LaneSaturated
-                } else {
-                    ReadClass::PfsCold
-                };
-                let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-                let timing = ReadTiming {
-                    wall_us: us(p_end - p_entry),
-                    pread_us: us(p_pread - p_resolve),
-                    lock_queue_us: us(p_resolve - p_entry),
-                    copy_wait_us: us(p_end - p_pread),
-                };
-                profiler.record_read(
-                    file,
-                    info.tier,
-                    n as u64,
-                    class,
-                    feedback.prefetch_hit,
-                    timing,
-                    self.telemetry.now_micros(),
-                );
-            }
-        }
+            // background copy_exec; the read span points back at the
+            // prefetch copy that staged (or is staging) its file.
+            span: sampled.then(|| ReadSpan {
+                tid: tr.register_current_thread(),
+                id: read_id,
+                parent,
+                offset: Some(offset),
+                flow,
+                prefetch_flow: feedback.flow,
+            }),
+        });
         Ok(n)
     }
 
@@ -453,8 +337,7 @@ impl Monarch {
         file: &str,
         offset: u64,
         buf: &mut [u8],
-        p_entry: Instant,
-        profiled: bool,
+        clock: &mut ReadClock,
     ) -> Option<usize> {
         let cluster = self.cluster.as_ref()?;
         let info = self.metadata.get(file)?;
@@ -464,7 +347,8 @@ impl Monarch {
             return None;
         }
         let owner = cluster.peer_owner(file)?;
-        let p_fetch = Instant::now();
+        clock.mark(ReadClock::LOOKUP);
+        clock.mark(ReadClock::RESOLVE);
         let bytes = match cluster.fetch_from(owner, file) {
             Ok(bytes) => bytes,
             Err(e) => {
@@ -488,7 +372,7 @@ impl Monarch {
                 return None;
             }
         };
-        let p_pread = Instant::now();
+        clock.mark(ReadClock::PREAD);
         // Serve the requested range straight from the fetched buffer. The
         // namespace read counter still ticks; the per-tier counters do not
         // (no local tier did any work — `peer_bytes` accounts the traffic).
@@ -510,32 +394,20 @@ impl Monarch {
         // Advance the plan cursor as any read does; the source-tier id
         // keeps this from counting as a prefetch hit (the plan did not
         // stage these bytes — the peer did).
-        let _ = self.engine.note_read(file, self.hierarchy.source_id());
-        if profiled {
-            let p_end = Instant::now();
-            self.telemetry
-                .stall_profile()
-                .record(p_entry, p_fetch, p_fetch, p_pread, p_end);
-            let profiler = self.telemetry.observe().profiler();
-            if profiler.is_enabled() {
-                let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-                let timing = ReadTiming {
-                    wall_us: us(p_end - p_entry),
-                    pread_us: us(p_pread - p_fetch),
-                    lock_queue_us: us(p_fetch - p_entry),
-                    copy_wait_us: us(p_end - p_pread),
-                };
-                profiler.record_read(
-                    file,
-                    0,
-                    want as u64,
-                    ReadClass::PeerBound,
-                    false,
-                    timing,
-                    self.telemetry.now_micros(),
-                );
-            }
-        }
+        let source = self.hierarchy.source_id();
+        let _ = self.engine.note_read(file, source);
+        let (start_us, phases_ns) = clock.finish(&self.telemetry);
+        self.telemetry.record_read(&ReadOutcome {
+            file,
+            resident: info.tier,
+            served: None,
+            bytes: want as u64,
+            class: ReadClass::classify(info.tier, None, source, false, false),
+            prefetch_hit: false,
+            start_us,
+            phases_ns,
+            span: None,
+        });
         Some(want)
     }
 
@@ -547,11 +419,7 @@ impl Monarch {
             .ok_or_else(|| Error::UnknownFile(file.into()))?;
         let tr = self.telemetry.trace();
         let traced = tr.is_enabled();
-        let t0 = if traced {
-            self.telemetry.now_micros()
-        } else {
-            0
-        };
+        let t0 = self.telemetry.micros_if(traced);
         let id = if traced { tr.next_id() } else { 0 };
         let mut buf = vec![0u8; info.size as usize];
         let n = self.read_impl(file, 0, &mut buf, id)?;
@@ -600,11 +468,7 @@ impl Monarch {
     pub fn prestage(&self) -> usize {
         let tr = self.telemetry.trace();
         let traced = tr.is_enabled();
-        let t0 = if traced {
-            self.telemetry.now_micros()
-        } else {
-            0
-        };
+        let t0 = self.telemetry.micros_if(traced);
         let prestage_id = if traced { tr.next_id() } else { 0 };
         let mut unplaced = Vec::new();
         self.metadata.for_each(|name, info| {
@@ -812,6 +676,53 @@ impl Monarch {
             cluster.stop_server();
         }
         self.stats.snapshot()
+    }
+}
+
+/// One read's clock chain: the entry instant and the ends of its lookup,
+/// resolve and pread phases. Started off (telemetry disabled) it never
+/// reads the clock.
+struct ReadClock(Option<[Instant; 4]>);
+
+impl ReadClock {
+    /// Index of the lookup phase's end mark.
+    const LOOKUP: usize = 1;
+    /// Index of the resolve phase's end mark.
+    const RESOLVE: usize = 2;
+    /// Index of the pread phase's end mark.
+    const PREAD: usize = 3;
+
+    fn start(on: bool) -> Self {
+        Self(on.then(|| [Instant::now(); 4]))
+    }
+
+    /// End phase `mark` now. A retried read re-marks every phase, so the
+    /// final attempt's boundaries win and earlier attempts count as lookup.
+    fn mark(&mut self, mark: usize) {
+        if let Some(marks) = &mut self.0 {
+            marks[mark] = Instant::now();
+        }
+    }
+
+    /// Close the chain now: the entry instant on the registry clock and
+    /// the four phase durations (ns), which sum to the read's wall time.
+    fn finish(&self, telemetry: &TelemetryRegistry) -> (u64, [u64; 4]) {
+        let Some(m) = self.0 else {
+            return (0, [0; 4]);
+        };
+        let end = Instant::now();
+        let ns = |from: Instant, to: Instant| {
+            u64::try_from(to.saturating_duration_since(from).as_nanos()).unwrap_or(u64::MAX)
+        };
+        (
+            telemetry.micros_at(m[0]),
+            [
+                ns(m[0], m[1]),
+                ns(m[1], m[2]),
+                ns(m[2], m[3]),
+                ns(m[3], end),
+            ],
+        )
     }
 }
 

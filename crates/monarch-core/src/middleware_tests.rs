@@ -565,44 +565,83 @@ fn lru_policy_evicts_through_middleware() {
 
 #[test]
 fn stall_buckets_sum_to_read_wall_time() {
-    // The stall profiler's four buckets partition each read's wall time
-    // along one monotonic-clock chain, so their total must track what a
-    // caller measures around `Monarch::read` — within 5%, the slack being
-    // the instrumentation outside the first/last boundary instants
-    // (shutdown check, gauge guard, the record call itself). Reads are
-    // large enough that the pread dominates those fixed costs.
+    // Structural, not wall-clock: each read's four phases are cut from one
+    // clock chain and sum to its wall time, so the stall buckets hold
+    // exactly the summed read wall time, and the ledger's microsecond
+    // sums match them up to per-read truncation.
     const FILES: usize = 8;
-    const SIZE: usize = 1 << 20;
+    const SIZE: usize = 64 << 10;
     let m = mem_monarch(64 << 20, FILES, SIZE);
+
+    // One read's chain: its phases sum to the time from entry to finish.
+    let mut clock = ReadClock::start(true);
+    let entry = clock.0.expect("an armed clock keeps its marks")[0];
+    for mark in [ReadClock::LOOKUP, ReadClock::RESOLVE, ReadClock::PREAD] {
+        std::thread::sleep(Duration::from_micros(50));
+        clock.mark(mark);
+    }
+    let before = Instant::now();
+    let (start_us, phases) = clock.finish(m.telemetry());
+    let after = Instant::now();
+    let sum: u64 = phases.iter().sum();
+    assert!(phases[..3].iter().all(|&p| p >= 50_000), "{phases:?}");
+    assert!(
+        (before - entry).as_nanos() as u64 <= sum && sum <= (after - entry).as_nanos() as u64,
+        "phases {phases:?} do not sum to the read's wall time"
+    );
+    assert_eq!(start_us, m.telemetry().micros_at(entry));
+    assert_eq!(
+        ReadClock::start(false).finish(m.telemetry()),
+        (0, [0; 4]),
+        "an unarmed clock reads nothing"
+    );
+
     let mut buf = vec![0u8; SIZE];
-    let mut wall = std::time::Duration::ZERO;
     for round in 0..3 {
         for i in 0..FILES {
-            let t = Instant::now();
             let n = m.read(&format!("f{i:03}"), 0, &mut buf).unwrap();
-            wall += t.elapsed();
             assert_eq!(n, SIZE, "round {round}");
         }
     }
     m.wait_placement_idle();
-    let stall = m.telemetry_snapshot().stall_profile;
+    let snap = m.telemetry_snapshot();
+    let stall = snap.stall_profile;
+    let ledger = snap
+        .observe
+        .expect("profiler on by default")
+        .profiler
+        .ledger;
     let reads = (3 * FILES) as u64;
-    assert_eq!(
-        stall.driver_pread.count, reads,
-        "every completed read is profiled"
-    );
-    let bucket_sum = stall.lock_wait.sum_nanos
+    for bucket in [
+        stall.lock_wait,
+        stall.queue_wait,
+        stall.driver_pread,
+        stall.copy_wait,
+    ] {
+        assert_eq!(bucket.count, reads, "every read feeds every bucket");
+    }
+    assert_eq!(ledger.reads, reads, "the same record feeds the ledger");
+    let bucket_ns = stall.lock_wait.sum_nanos
         + stall.queue_wait.sum_nanos
         + stall.driver_pread.sum_nanos
         + stall.copy_wait.sum_nanos;
-    let wall = wall.as_nanos() as u64;
+    // Each read's wall time is truncated to whole microseconds once.
+    let wall_ns = ledger.read_wall_us * 1_000;
     assert!(
-        bucket_sum <= wall,
-        "buckets lie inside the measured wall time (buckets {bucket_sum}ns, wall {wall}ns)"
+        wall_ns <= bucket_ns && bucket_ns < wall_ns + reads * 1_000,
+        "buckets {bucket_ns}ns vs ledger wall {wall_ns}ns over {reads} reads"
     );
+    // The ledger's parts partition its wall time, each part truncated once.
+    let parts = ledger.lock_queue_us
+        + ledger.fast_pread_us
+        + ledger.pfs_cold_pread_us
+        + ledger.lane_sat_pread_us
+        + ledger.prefetch_lag_pread_us
+        + ledger.copy_wait_us;
     assert!(
-        bucket_sum as f64 >= wall as f64 * 0.95,
-        "buckets cover >=95% of wall time (buckets {bucket_sum}ns, wall {wall}ns)"
+        parts <= ledger.read_wall_us && ledger.read_wall_us < parts + 3 * reads,
+        "ledger parts {parts}us vs wall {}us",
+        ledger.read_wall_us
     );
 }
 
@@ -772,4 +811,88 @@ fn enospc_install_evicts_a_victim_and_retries_once() {
     assert_eq!(h.tiers[0].state, "closed");
     assert_eq!(h.tiers[0].errors_total, 0);
     m.shutdown();
+}
+
+/// A local-tier driver whose next `read_at`, once armed, first evicts the
+/// file through the facade: the lookup → pread eviction race, forced.
+struct EvictingDriver {
+    inner: MemDriver,
+    monarch: std::sync::OnceLock<std::sync::Weak<Monarch>>,
+    armed: AtomicBool,
+}
+
+impl StorageDriver for EvictingDriver {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        if self.armed.swap(false, Ordering::AcqRel) {
+            let m = self.monarch.get().and_then(std::sync::Weak::upgrade);
+            assert!(m.expect("monarch attached").evict(file).unwrap());
+        }
+        self.inner.read_at(file, offset, buf)
+    }
+
+    fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
+        self.inner.write_full(file, data)
+    }
+
+    fn remove(&self, file: &str) -> Result<()> {
+        self.inner.remove(file)
+    }
+
+    fn file_size(&self, file: &str) -> Result<u64> {
+        self.inner.file_size(file)
+    }
+
+    fn list(&self) -> Result<Vec<(String, u64)>> {
+        self.inner.list()
+    }
+}
+
+#[test]
+fn eviction_race_rereads_the_source_without_charging_tier_health() {
+    let pfs = MemDriver::new("pfs");
+    pfs.insert("f000", vec![7u8; 256]);
+    let local = Arc::new(EvictingDriver {
+        inner: MemDriver::new("ram"),
+        monarch: std::sync::OnceLock::new(),
+        armed: AtomicBool::new(false),
+    });
+    let hierarchy = two_tier(
+        Arc::clone(&local) as Arc<dyn StorageDriver>,
+        1 << 20,
+        Arc::new(pfs),
+    );
+    let m = Arc::new(
+        MonarchBuilder::new()
+            .hierarchy(hierarchy)
+            .pool_threads(1)
+            .build()
+            .unwrap(),
+    );
+    m.init().unwrap();
+    assert!(local.monarch.set(Arc::downgrade(&m)).is_ok());
+    let mut buf = vec![0u8; 256];
+    m.read("f000", 0, &mut buf).unwrap();
+    m.wait_placement_idle();
+    assert_eq!(m.metadata().get("f000").unwrap().tier, 0);
+
+    // The file leaves the RAM tier between this read's lookup and pread.
+    local.armed.store(true, Ordering::Release);
+    buf.fill(0);
+    assert_eq!(m.read("f000", 0, &mut buf).unwrap(), 256);
+    assert!(
+        buf.iter().all(|&b| b == 7),
+        "the raced read returns the PFS bytes"
+    );
+    let s = m.stats();
+    assert_eq!(s.evictions, 1);
+    assert_eq!(s.read_retries, 0, "a race is not a device retry");
+    assert_eq!((s.tiers[0].reads, s.tiers[1].reads), (0, 2));
+    let h = m.hierarchy().health().snapshot();
+    assert_eq!(h.tiers[0].error_ewma, 0.0, "a race is not a device error");
+    assert_eq!(h.tiers[0].errors_total, 0);
+    m.wait_placement_idle();
 }

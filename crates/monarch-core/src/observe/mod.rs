@@ -6,10 +6,12 @@
 //! 1. [`AccessProfiler`] (`profiler`) — sharded, bounded per-file records
 //!    (access count, first/last tick, EWMA inter-access gap, bytes per
 //!    tier, prefetch hit/miss tallies) plus the monotonic time-lost
-//!    ledger, fed from the read path and the transfer engine;
+//!    ledger, fed each read's outcome by
+//!    [`crate::telemetry::TelemetryRegistry::record_read`];
 //! 2. [`ResidencyTimeline`] (`timeline`) — a bounded event log of tier
 //!    transitions (admitted/promoted/evicted/canceled with cause),
-//!    reconstructable into "where did file X live between t0 and t1";
+//!    reconstructable into "where did file X live between t0 and t1",
+//!    fed by [`crate::transfer::record_transition`];
 //! 3. [`ObserveReport`] (`report`) — the per-epoch roll-up: wall time
 //!    attributed to pfs-bound / copy-lane-saturated / prefetch-lag /
 //!    lock-or-queue / compute-bound, plus top-K hot and wasted
@@ -29,7 +31,6 @@ use serde::{Deserialize, Serialize};
 
 pub use profiler::{
     AccessProfiler, FileProfile, FileProfileSnapshot, LedgerSnapshot, ProfilerSnapshot, ReadClass,
-    ReadTiming,
 };
 pub use report::{HotFile, LedgerBuckets, ObserveReport, WastedFile};
 pub use timeline::{
@@ -113,20 +114,17 @@ mod tests {
     #[test]
     fn enabled_observatory_snapshot_carries_both_layers() {
         let o = Observatory::new(true, 2, 16, 16);
-        o.profiler().record_read(
-            "f",
-            1,
-            8,
-            ReadClass::PfsCold,
-            false,
-            ReadTiming {
-                wall_us: 10,
-                pread_us: 9,
-                lock_queue_us: 1,
-                copy_wait_us: 0,
-            },
-            100,
-        );
+        o.profiler().record_read(&crate::telemetry::ReadOutcome {
+            file: "f",
+            resident: 1,
+            served: Some(1),
+            bytes: 8,
+            class: ReadClass::PfsCold,
+            prefetch_hit: false,
+            start_us: 90,
+            phases_ns: [1_000, 0, 9_000, 0],
+            span: None,
+        });
         o.timeline().record_at(
             200,
             "f",

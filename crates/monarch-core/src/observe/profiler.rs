@@ -24,6 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::hash::FxBuildHasher;
 use crate::hierarchy::TierId;
+use crate::telemetry::ReadOutcome;
 
 /// Shard count for the per-file map. A power of two so the shard pick is
 /// a mask, matching the metadata container's sharding.
@@ -62,20 +63,33 @@ pub enum ReadClass {
     DegradedFallback,
 }
 
-/// Wall-clock decomposition of one read, in microseconds. The real read
-/// path fills all four from its stall-profiler instants; the simulator
-/// fills `wall_us == pread_us` (its lookups are instantaneous in virtual
-/// time).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReadTiming {
-    /// Entry-to-exit wall time of the read call.
-    pub wall_us: u64,
-    /// Time inside the backend pread.
-    pub pread_us: u64,
-    /// Time in metadata lock/lookup and pre-pread bookkeeping.
-    pub lock_queue_us: u64,
-    /// Time in post-pread copy machinery (demand hand-off, plan notes).
-    pub copy_wait_us: u64,
+impl ReadClass {
+    /// The one rule naming how a read was served. `resident` is the tier
+    /// the metadata had the file on when the read looked it up, `served`
+    /// the tier whose driver delivered the bytes (`None`: a peer node
+    /// did), `source` the PFS tier. A read served off the source tier is
+    /// classified by *why* the file was still there: the plan knew about
+    /// it (prefetch lagged), a copy was in flight (lanes saturated), or
+    /// placement never happened (cold PFS traffic). A read that should
+    /// have been fast but was rerouted around a failing tier is its own
+    /// class — the cost of degraded operation.
+    #[must_use]
+    pub fn classify(
+        resident: TierId,
+        served: Option<TierId>,
+        source: TierId,
+        planned: bool,
+        copying: bool,
+    ) -> Self {
+        match served {
+            None => Self::PeerBound,
+            Some(tier) if tier != resident => Self::DegradedFallback,
+            Some(tier) if tier != source => Self::Fast,
+            Some(_) if planned => Self::PrefetchLag,
+            Some(_) if copying => Self::LaneSaturated,
+            Some(_) => Self::PfsCold,
+        }
+    }
 }
 
 /// One file's longitudinal record. Timestamps are registry-clock
@@ -160,14 +174,20 @@ pub struct LedgerAccum {
 }
 
 impl LedgerAccum {
-    fn add(&self, class: ReadClass, t: &ReadTiming) {
+    fn add(&self, r: &ReadOutcome<'_>) {
+        // Sub-microsecond terms (the simulator's instantaneous lookups)
+        // add nothing, so they skip the atomic.
+        let add = |sum: &AtomicU64, ns: u64| {
+            if ns >= 1_000 {
+                sum.fetch_add(ns / 1_000, Ordering::Relaxed);
+            }
+        };
+        let [lock, queue, pread, copy] = r.phases_ns;
         self.reads.fetch_add(1, Ordering::Relaxed);
-        self.read_wall_us.fetch_add(t.wall_us, Ordering::Relaxed);
-        self.lock_queue_us
-            .fetch_add(t.lock_queue_us, Ordering::Relaxed);
-        self.copy_wait_us
-            .fetch_add(t.copy_wait_us, Ordering::Relaxed);
-        let bucket = match class {
+        add(&self.read_wall_us, r.wall_ns());
+        add(&self.lock_queue_us, lock + queue);
+        add(&self.copy_wait_us, copy);
+        let bucket = match r.class {
             ReadClass::Fast => &self.fast_pread_us,
             ReadClass::PfsCold => &self.pfs_cold_pread_us,
             ReadClass::LaneSaturated => &self.lane_sat_pread_us,
@@ -175,7 +195,7 @@ impl LedgerAccum {
             ReadClass::PeerBound => &self.peer_bound_pread_us,
             ReadClass::DegradedFallback => &self.degraded_pread_us,
         };
-        bucket.fetch_add(t.pread_us, Ordering::Relaxed);
+        add(bucket, pread);
     }
 
     /// Point-in-time copy of the sums.
@@ -310,38 +330,20 @@ impl AccessProfiler {
     }
 
     /// Record one foreground read: ledger sums always, the per-file
-    /// record if the file is tracked (or the bound still has room).
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_read(
-        &self,
-        file: &str,
-        tier: TierId,
-        bytes: u64,
-        class: ReadClass,
-        prefetch_hit: bool,
-        timing: ReadTiming,
-        t_us: u64,
-    ) {
+    /// record (bytes under the serving tier, stamped at completion) if
+    /// the file is tracked or the bound still has room.
+    pub fn record_read(&self, r: &ReadOutcome<'_>) {
         if !self.enabled {
             return;
         }
-        self.ledger.add(class, &timing);
-        let mut shard = self.shards[self.shard_of(file)].lock();
-        match shard.get_mut(file) {
-            Some(p) => p.touch(tier, bytes, class, prefetch_hit, t_us),
-            None => {
-                // The bound is checked against a cross-shard counter, so
-                // it is approximate under contention (within SHARDS of
-                // max) — never unbounded.
-                if self.tracked.load(Ordering::Relaxed) >= self.max_files as u64 {
-                    self.untracked_reads.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                self.tracked.fetch_add(1, Ordering::Relaxed);
-                let mut p = FileProfile::new(self.tiers);
-                p.touch(tier, bytes, class, prefetch_hit, t_us);
-                shard.insert(file.to_string(), p);
-            }
+        self.ledger.add(r);
+        let tier = r.served.unwrap_or(r.resident);
+        let end_us = r.start_us + r.wall_ns() / 1_000;
+        let tracked = self.update(r.file, |p| {
+            p.touch(tier, r.bytes, r.class, r.prefetch_hit, end_us);
+        });
+        if !tracked {
+            self.untracked_reads.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -350,26 +352,33 @@ impl AccessProfiler {
     /// completion; a profile whose `prefetched_bytes` stays unmatched by
     /// any later read is wasted prefetch work.
     pub fn record_prefetch_staged(&self, file: &str, bytes: u64, t_us: u64) {
-        if !self.enabled {
-            return;
-        }
-        let mut shard = self.shards[self.shard_of(file)].lock();
-        match shard.get_mut(file) {
-            Some(p) => {
+        if self.enabled {
+            self.update(file, |p| {
                 p.prefetched_bytes += bytes;
                 p.staged_us = t_us;
-            }
-            None => {
-                if self.tracked.load(Ordering::Relaxed) >= self.max_files as u64 {
-                    return;
-                }
-                self.tracked.fetch_add(1, Ordering::Relaxed);
-                let mut p = FileProfile::new(self.tiers);
-                p.prefetched_bytes = bytes;
-                p.staged_us = t_us;
-                shard.insert(file.to_string(), p);
-            }
+            });
         }
+    }
+
+    /// Apply `f` to `file`'s record, creating it while the bound has room.
+    /// Returns `false` when the file is past the bound (untracked). The
+    /// bound is checked against a cross-shard counter, so it is
+    /// approximate under contention (within SHARDS of max) — never
+    /// unbounded.
+    fn update(&self, file: &str, f: impl FnOnce(&mut FileProfile)) -> bool {
+        let mut shard = self.shards[self.shard_of(file)].lock();
+        if let Some(p) = shard.get_mut(file) {
+            f(p);
+            return true;
+        }
+        if self.tracked.load(Ordering::Relaxed) >= self.max_files as u64 {
+            return false;
+        }
+        self.tracked.fetch_add(1, Ordering::Relaxed);
+        let mut p = FileProfile::new(self.tiers);
+        f(&mut p);
+        shard.insert(file.to_string(), p);
+        true
     }
 
     /// One file's profile, cloned out of its shard — the policy engine's
@@ -455,19 +464,34 @@ pub struct ProfilerSnapshot {
 mod tests {
     use super::*;
 
-    fn t(wall: u64, pread: u64) -> ReadTiming {
-        ReadTiming {
-            wall_us: wall,
-            pread_us: pread,
-            lock_queue_us: 0,
-            copy_wait_us: 0,
+    /// A read of `file` served by `tier`, completing at `end_us` after
+    /// `wall_us`, `pread_us` of it inside the driver.
+    fn rd(
+        file: &str,
+        tier: TierId,
+        bytes: u64,
+        class: ReadClass,
+        prefetch_hit: bool,
+        (wall_us, pread_us): (u64, u64),
+        end_us: u64,
+    ) -> ReadOutcome<'_> {
+        ReadOutcome {
+            file,
+            resident: tier,
+            served: Some(tier),
+            bytes,
+            class,
+            prefetch_hit,
+            start_us: end_us.saturating_sub(wall_us),
+            phases_ns: [0, 0, pread_us * 1_000, (wall_us - pread_us) * 1_000],
+            span: None,
         }
     }
 
     #[test]
     fn disabled_profiler_records_nothing() {
         let p = AccessProfiler::new(false, 2, 16);
-        p.record_read("a", 0, 10, ReadClass::Fast, false, t(5, 5), 100);
+        p.record_read(&rd("a", 0, 10, ReadClass::Fast, false, (5, 5), 100));
         p.record_prefetch_staged("a", 10, 100);
         let s = p.snapshot();
         assert_eq!(s.tracked, 0);
@@ -480,7 +504,7 @@ mod tests {
         let p = AccessProfiler::new(true, 2, 16);
         // Gaps: 100, 200, 50.
         for t_us in [1_000u64, 1_100, 1_300, 1_350] {
-            p.record_read("f", 0, 1, ReadClass::Fast, false, t(1, 1), t_us);
+            p.record_read(&rd("f", 0, 1, ReadClass::Fast, false, (1, 1), t_us));
         }
         let s = p.snapshot();
         let f = &s.files[0];
@@ -498,15 +522,15 @@ mod tests {
     fn bound_spills_to_untracked_and_ledger_keeps_counting() {
         let p = AccessProfiler::new(true, 1, 2);
         for i in 0..5 {
-            p.record_read(
+            p.record_read(&rd(
                 &format!("f{i}"),
                 0,
                 1,
                 ReadClass::PfsCold,
                 false,
-                t(10, 10),
+                (10, 10),
                 i * 100,
-            );
+            ));
         }
         let s = p.snapshot();
         assert_eq!(s.tracked, 2);
@@ -519,10 +543,10 @@ mod tests {
     #[test]
     fn classes_route_to_their_ledger_bucket_and_miss_tallies() {
         let p = AccessProfiler::new(true, 2, 16);
-        p.record_read("f", 1, 4, ReadClass::PfsCold, false, t(10, 7), 0);
-        p.record_read("f", 1, 4, ReadClass::LaneSaturated, false, t(10, 6), 10);
-        p.record_read("f", 1, 4, ReadClass::PrefetchLag, false, t(10, 5), 20);
-        p.record_read("f", 0, 4, ReadClass::Fast, true, t(10, 4), 30);
+        p.record_read(&rd("f", 1, 4, ReadClass::PfsCold, false, (10, 7), 0));
+        p.record_read(&rd("f", 1, 4, ReadClass::LaneSaturated, false, (10, 6), 10));
+        p.record_read(&rd("f", 1, 4, ReadClass::PrefetchLag, false, (10, 5), 20));
+        p.record_read(&rd("f", 0, 4, ReadClass::Fast, true, (10, 4), 30));
         let s = p.snapshot();
         assert_eq!(s.ledger.pfs_cold_pread_us, 7);
         assert_eq!(s.ledger.lane_sat_pread_us, 6);
@@ -539,7 +563,7 @@ mod tests {
         let p = AccessProfiler::new(true, 2, 16);
         p.record_prefetch_staged("wasted", 1_024, 500);
         p.record_prefetch_staged("used", 2_048, 600);
-        p.record_read("used", 0, 100, ReadClass::Fast, true, t(1, 1), 700);
+        p.record_read(&rd("used", 0, 100, ReadClass::Fast, true, (1, 1), 700));
         let s = p.snapshot();
         let find = |name: &str| {
             s.files

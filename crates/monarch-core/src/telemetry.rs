@@ -23,9 +23,11 @@
 //! - [`GaugeRegistry`] — labeled, interned atomic gauges (per-tier
 //!   occupancy/capacity, lane queue depth, in-flight copies) refreshed by
 //!   samplers and exported through the same snapshot/exposition paths;
-//! - [`StallProfile`] — the read-path stall profiler: four histograms
-//!   decomposing each sampled read's wall time into lock-wait /
-//!   queue-wait / driver-pread / copy-wait buckets.
+//! - [`ReadOutcome`] — the one record of a foreground read, fanned out by
+//!   [`TelemetryRegistry::record_read`] to the [`Stats`] tier counters, the
+//!   [`StallProfile`] (four histograms decomposing each read's wall time
+//!   into lock-wait / queue-wait / driver-pread / copy-wait buckets), the
+//!   access profiler, and the trace.
 //!
 //! Recording is cheap by construction: histogram recording is a handful of
 //! relaxed atomic adds, the journal is an `O(1)` ring append behind a short
@@ -40,7 +42,9 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
+use crate::observe::ReadClass;
 use crate::stats::Stats;
+use crate::trace::{names, FlowPhase, SpanRecord};
 use crate::TierId;
 
 // ---------------------------------------------------------------------------
@@ -92,13 +96,12 @@ fn bucket_bounds(idx: usize) -> (u64, u64) {
 ///
 /// Values are dimensionless `u64`s; the middleware records nanoseconds, the
 /// simulator records virtual-time nanoseconds. Recording touches one bucket
-/// plus three scalar counters, all with relaxed atomics — safe to call from
+/// plus two scalar counters, all with relaxed atomics — safe to call from
 /// any number of threads on the read hot path. Quantile estimates return
 /// the upper bound of the containing bucket, so they are exact to within
 /// one bucket (≤ 1/16 relative error above 16).
 pub struct LatencyHistogram {
     buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -116,19 +119,23 @@ impl LatencyHistogram {
         let buckets: Vec<AtomicU64> = (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect();
         Self {
             buckets: buckets.into_boxed_slice(),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
     }
 
-    /// Record one observation.
+    /// Record one observation: one relaxed atomic add on its bucket, plus
+    /// the sum's when `value` is non-zero and a `fetch_max` only when it
+    /// beats the maximum seen so far.
     #[inline]
     pub fn record(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        if value > 0 {
+            self.sum.fetch_add(value, Ordering::Relaxed);
+        }
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Record a wall-clock duration, in nanoseconds.
@@ -137,10 +144,10 @@ impl LatencyHistogram {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Total observations recorded.
+    /// Total observations recorded (the bucket populations' sum).
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of all recorded values.
@@ -215,7 +222,6 @@ impl LatencyHistogram {
                 mine.fetch_add(v, Ordering::Relaxed);
             }
         }
-        self.count.fetch_add(other.count(), Ordering::Relaxed);
         self.sum.fetch_add(other.sum(), Ordering::Relaxed);
         self.max.fetch_max(other.max(), Ordering::Relaxed);
     }
@@ -1182,8 +1188,9 @@ impl Drop for GaugeGuard {
 // Read-path stall profiler
 // ---------------------------------------------------------------------------
 
-/// Read-path stall decomposition: four histograms partitioning each sampled
-/// read's wall time into consecutive phases.
+/// Read-path stall decomposition: four histograms partitioning each
+/// read's wall time into consecutive phases, fed only by
+/// [`TelemetryRegistry::record_read`] from each [`ReadOutcome`].
 ///
 /// - `lock_wait` — entry to metadata-lookup completion (shard lock plus
 ///   namespace lookup);
@@ -1191,11 +1198,10 @@ impl Drop for GaugeGuard {
 ///   (the engine's window/cursor critical sections);
 /// - `driver_pread` — the backend `read_at` itself;
 /// - `copy_wait` — post-read copy machinery (demand hand-off, prefetch
-///   cursor advance, span recording).
+///   cursor advance).
 ///
-/// The four buckets are measured from one monotonic-clock chain, so their
-/// sum equals the read's wall time up to clock-read cost — the invariant
-/// the e2e test checks.
+/// The four phases of an outcome are cut from one clock chain, so the
+/// bucket sums equal the summed read wall time exactly.
 #[derive(Debug, Default)]
 pub struct StallProfile {
     /// Lock/lookup phase durations.
@@ -1215,32 +1221,6 @@ pub struct StallProfile {
 }
 
 impl StallProfile {
-    /// Record one sampled read from its phase boundary instants. Diffs are
-    /// saturating, so an out-of-order pair records 0 instead of panicking.
-    pub fn record(
-        &self,
-        t0: Instant,
-        lookup: Instant,
-        resolve: Instant,
-        pread: Instant,
-        end: Instant,
-    ) {
-        self.lock_wait
-            .record_duration(lookup.saturating_duration_since(t0));
-        self.queue_wait
-            .record_duration(resolve.saturating_duration_since(lookup));
-        self.driver_pread
-            .record_duration(pread.saturating_duration_since(resolve));
-        self.copy_wait
-            .record_duration(end.saturating_duration_since(pread));
-    }
-
-    /// Record the wall time of one degraded-fallback read (resident tier
-    /// failing, bytes served from a lower tier).
-    pub fn record_degraded(&self, wall: Duration) {
-        self.degraded_fallback.record_duration(wall);
-    }
-
     /// Immutable summary of all buckets.
     #[must_use]
     pub fn snapshot(&self) -> StallProfileSnapshot {
@@ -1252,6 +1232,60 @@ impl StallProfile {
             degraded_fallback: self.degraded_fallback.snapshot(),
         }
     }
+}
+
+/// The one record of a foreground read: built once when the read
+/// completes and handed to [`TelemetryRegistry::record_read`], which fans
+/// it out to every view of the read. The real read path fills it from one
+/// monotonic clock chain; the simulator fills it from virtual time.
+#[derive(Debug, Clone, Copy)]
+pub struct ReadOutcome<'a> {
+    /// Logical file name.
+    pub file: &'a str,
+    /// Tier the metadata had the file on when the read looked it up.
+    pub resident: TierId,
+    /// Tier whose driver delivered the bytes; `None` when a peer node did.
+    pub served: Option<TierId>,
+    /// Bytes delivered.
+    pub bytes: u64,
+    /// How the read was served (see [`ReadClass::classify`]).
+    pub class: ReadClass,
+    /// The access plan staged the file before this, its first read.
+    pub prefetch_hit: bool,
+    /// Registry-clock microsecond the read began (virtual in the sim).
+    pub start_us: u64,
+    /// Consecutive phase durations in nanoseconds — lock/lookup, queue,
+    /// driver pread, copy (see [`StallProfile`]). They partition the
+    /// read's wall time.
+    pub phases_ns: [u64; 4],
+    /// Trace identity, present when the read was sampled.
+    pub span: Option<ReadSpan>,
+}
+
+impl ReadOutcome<'_> {
+    /// Entry-to-exit wall time, nanoseconds.
+    #[must_use]
+    pub fn wall_ns(&self) -> u64 {
+        self.phases_ns.iter().sum()
+    }
+}
+
+/// Trace identity of one sampled read.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ReadSpan {
+    /// Track the spans render on.
+    pub tid: u64,
+    /// Pre-allocated id of the `read` span (copies it spawns parent to it).
+    pub id: u64,
+    /// Enclosing span (`0` = root).
+    pub parent: u64,
+    /// Byte offset the read started at (the simulator omits it).
+    pub offset: Option<u64>,
+    /// Flow the `driver_pread` starts: the copy this read scheduled
+    /// (`0` = none).
+    pub flow: u64,
+    /// Flow of the prefetch copy that staged the file (`0` = none).
+    pub prefetch_flow: u64,
 }
 
 /// Serializable summary of a [`StallProfile`] — the `stall_profile` section
@@ -1457,6 +1491,112 @@ impl TelemetryRegistry {
     /// clock).
     pub fn event_at(&self, t_us: u64, kind: EventKind) {
         self.journal.record_at(t_us, kind);
+    }
+
+    /// Record a tier's quarantine at `t_us`: the counter and the journal
+    /// event.
+    pub fn tier_quarantined(&self, t_us: u64, tier: TierId, reason: String) {
+        self.stats.tier_quarantine();
+        self.event_at(t_us, EventKind::TierQuarantined { tier, reason });
+    }
+
+    /// Record a half-open probe's verdict at `t_us`; a passing probe also
+    /// re-admits the tier.
+    pub fn tier_probed(&self, t_us: u64, tier: TierId, ok: bool) {
+        self.event_at(t_us, EventKind::TierProbed { tier, ok });
+        if ok {
+            self.stats.tier_recovery();
+            self.event_at(t_us, EventKind::TierRecovered { tier });
+        }
+    }
+
+    /// [`Self::now_micros`] when `on` (a traced operation), else 0 without
+    /// reading the clock.
+    #[must_use]
+    pub(crate) fn micros_if(&self, on: bool) -> u64 {
+        if on {
+            self.now_micros()
+        } else {
+            0
+        }
+    }
+
+    /// Microseconds from the registry's creation to `at` (0 before it).
+    #[must_use]
+    pub(crate) fn micros_at(&self, at: Instant) -> u64 {
+        u64::try_from(at.saturating_duration_since(self.origin).as_micros()).unwrap_or(u64::MAX)
+    }
+
+    /// Fan one read's [`ReadOutcome`] out to every view of it: the
+    /// per-tier counters always; with telemetry on, the stall histograms
+    /// and the access profiler, plus the span tree when the read was
+    /// sampled.
+    pub fn record_read(&self, r: &ReadOutcome<'_>) {
+        if let Some(tier) = r.served {
+            self.stats.record_read(tier, r.bytes);
+        }
+        let degraded = r.class == ReadClass::DegradedFallback;
+        if degraded {
+            self.stats.degraded_read();
+        }
+        if !self.enabled {
+            return;
+        }
+        let [lock, queue, pread, copy] = r.phases_ns;
+        self.stall.lock_wait.record(lock);
+        self.stall.queue_wait.record(queue);
+        self.stall.driver_pread.record(pread);
+        self.stall.copy_wait.record(copy);
+        if degraded {
+            self.stall.degraded_fallback.record(r.wall_ns());
+        }
+        self.observe.profiler().record_read(r);
+        if let Some(span) = &r.span {
+            self.record_read_spans(r, span);
+        }
+    }
+
+    /// The span tree of one sampled read: `read` with `metadata_lookup` /
+    /// `tier_resolve` / `driver_pread` children, cut at the outcome's
+    /// phase boundaries.
+    fn record_read_spans(&self, r: &ReadOutcome<'_>, s: &ReadSpan) {
+        let tr = &self.trace;
+        let mut at = [r.start_us; 5];
+        let mut elapsed_ns = 0;
+        for (i, phase) in r.phases_ns.iter().enumerate() {
+            elapsed_ns += phase;
+            at[i + 1] = r.start_us + elapsed_ns / 1_000;
+        }
+        let tier = r
+            .served
+            .and_then(|t| self.tier_names.get(t))
+            .map_or("", String::as_str);
+        let child = |name, phase: usize| {
+            SpanRecord::new(name, "read", s.tid, at[phase], at[phase + 1] - at[phase])
+                .with_id(tr.next_id())
+                .with_parent(s.id)
+        };
+        tr.record(child(names::METADATA_LOOKUP, 0));
+        tr.record(child(names::TIER_RESOLVE, 1).arg_str("tier", tier));
+        let mut pread = child(names::DRIVER_PREAD, 2)
+            .arg_str("tier", tier)
+            .arg_u64("bytes", r.bytes);
+        if s.flow != 0 {
+            pread = pread.with_flow(s.flow, FlowPhase::Start);
+        }
+        tr.record(pread);
+        let mut read = SpanRecord::new(names::READ, "read", s.tid, at[0], at[4] - at[0])
+            .with_id(s.id)
+            .with_parent(s.parent)
+            .arg_str("file", r.file);
+        if let Some(offset) = s.offset {
+            read = read.arg_u64("offset", offset);
+        }
+        read = read.arg_u64("bytes", r.bytes);
+        if s.prefetch_flow != 0 {
+            read = read.arg_u64("prefetch_flow", s.prefetch_flow);
+        }
+        tr.record(read);
     }
 
     /// Immutable snapshot of every histogram plus the counters.
@@ -2341,12 +2481,18 @@ mod tests {
     #[test]
     fn stall_profile_partitions_wall_time() {
         let r = registry();
-        let t0 = Instant::now();
-        let lookup = t0 + Duration::from_micros(10);
-        let resolve = t0 + Duration::from_micros(25);
-        let pread = t0 + Duration::from_micros(1025);
-        let end = t0 + Duration::from_micros(1030);
-        r.stall_profile().record(t0, lookup, resolve, pread, end);
+        let outcome = ReadOutcome {
+            file: "f",
+            resident: 0,
+            served: Some(0),
+            bytes: 64,
+            class: ReadClass::Fast,
+            prefetch_hit: false,
+            start_us: 100,
+            phases_ns: [10_000, 15_000, 1_000_000, 5_000],
+            span: None,
+        };
+        r.record_read(&outcome);
         let s = r.stall_profile().snapshot();
         assert_eq!(s.lock_wait.count, 1);
         assert_eq!(s.lock_wait.sum_nanos, 10_000);
@@ -2357,9 +2503,13 @@ mod tests {
             + s.queue_wait.sum_nanos
             + s.driver_pread.sum_nanos
             + s.copy_wait.sum_nanos;
-        assert_eq!(total, 1_030_000);
-        // Out-of-order instants saturate to zero instead of panicking.
-        r.stall_profile().record(end, t0, t0, t0, t0);
+        assert_eq!(total, outcome.wall_ns());
+        // The same record fed the tier counters and the ledger.
+        assert_eq!(r.stats().snapshot().tiers[0].reads, 1);
+        let ledger = r.observe().profiler().ledger();
+        assert_eq!((ledger.reads, ledger.read_wall_us), (1, 1_030));
+        assert_eq!(ledger.lock_queue_us, 25);
+        r.record_read(&outcome);
         assert_eq!(r.stall_profile().snapshot().lock_wait.count, 2);
         // The exposition includes the stall histograms.
         let text = r.prometheus_text();

@@ -19,7 +19,9 @@
 //! The same lane discipline (demand first, promote-on-demand, bulk cancel)
 //! is captured by the generic [`LaneQueues`], shared between the real pool
 //! and the `dlpipe` discrete-event simulator so both backends run one copy
-//! pipeline rather than two hand-maintained replicas.
+//! pipeline rather than two hand-maintained replicas. Likewise every
+//! placement transition either backend performs is recorded by one
+//! [`record_transition`] call.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -144,6 +146,244 @@ impl<T> LaneQueues<T> {
     pub fn is_empty(&self) -> bool {
         self.demand.is_empty() && self.remote.is_empty() && self.prefetch.is_empty()
     }
+}
+
+// ---------------------------------------------------------------------------
+// Tier transitions — one fan-out for the engine and the simulator
+// ---------------------------------------------------------------------------
+
+/// One placement transition of a file: a copy queued, landed, requeued,
+/// withdrawn or skipped, a queued prefetch promoted, or a resident
+/// evicted. The real engine and the `dlpipe` simulator both report theirs
+/// through [`record_transition`], so a transition reads the same in every
+/// view and in both backends.
+#[derive(Debug, Clone, Copy)]
+pub enum Transition<'a> {
+    /// A copy was queued (`Unplaced → Copying`).
+    Scheduled {
+        /// File size in bytes.
+        bytes: u64,
+        /// The access plan issued it (prefetch lane).
+        prefetch: bool,
+    },
+    /// A copy landed: the file is now resident on `tier`.
+    Admitted {
+        /// Tier entered.
+        tier: TierId,
+        /// Bytes installed.
+        bytes: u64,
+        /// What drove the copy (demand or the plan).
+        cause: TransitionCause,
+        /// Copy duration, nanoseconds (`None`: untimed).
+        copy_ns: Option<u64>,
+    },
+    /// A queued prefetch copy moved to the demand lane.
+    Promoted {
+        /// Tier the file was on when the read promoted it.
+        tier: TierId,
+    },
+    /// The file left `tier` for the PFS. `cause` is `Eviction` for an
+    /// explicit eviction (journaled at the `plan_evict` decision point)
+    /// and `Policy` for one that made room (`pressure_evict`).
+    Evicted {
+        /// Tier left.
+        tier: TierId,
+        /// Bytes freed.
+        bytes: u64,
+        /// Why the file left.
+        cause: TransitionCause,
+        /// The policy journal's cause line.
+        reason: &'a str,
+    },
+    /// A queued prefetch copy was withdrawn before it ran.
+    Withdrawn {
+        /// Tier the copy targeted (the source when undecided).
+        tier: TierId,
+        /// Plan switch or drain.
+        cause: TransitionCause,
+    },
+    /// A copy did not land and the file went back to
+    /// `Unplaced` for a later retry (a quarantined or failing tier).
+    Requeued {
+        /// Tier the copy was writing to, when it had got that far.
+        tier: Option<TierId>,
+        /// Why the copy was requeued.
+        reason: &'a str,
+    },
+    /// No local tier had room: the file stays on the PFS for good.
+    Skipped,
+}
+
+/// Policy-journal cause of an eviction that makes room for an incoming copy.
+pub const EVICT_TO_MAKE_ROOM: &str =
+    "selected by the eviction policy to make room for an incoming copy";
+
+/// The peer-cache residency feed: the cluster view and this node's id.
+pub type ClusterFeed = (Arc<crate::cluster::ClusterView>, usize);
+
+/// Record one placement transition of `file` at `t_us` everywhere it is
+/// tracked: the [`Stats`] counters, the event journal (with the policy
+/// verdict for an eviction), the residency timeline, the policy's
+/// eviction book, and the peer-cache view for admissions and evictions
+/// when `cluster` is set.
+pub fn record_transition(
+    telemetry: &TelemetryRegistry,
+    policy: &PolicyEngine,
+    cluster: Option<&ClusterFeed>,
+    t_us: u64,
+    file: &str,
+    transition: Transition<'_>,
+) {
+    use ResidencyEventKind as Kind;
+    let stats = telemetry.stats();
+    // Each arm updates its counters and yields the journal event plus the
+    // residency-timeline entry, if the transition has one.
+    let (event, residency) = match transition {
+        Transition::Scheduled { bytes, prefetch } => {
+            stats.copy_scheduled();
+            let file = file.to_string();
+            let event = if prefetch {
+                stats.prefetch_scheduled();
+                EventKind::PrefetchScheduled { file, bytes }
+            } else {
+                EventKind::CopyScheduled { file, bytes }
+            };
+            (event, None)
+        }
+        Transition::Admitted {
+            tier,
+            bytes,
+            cause,
+            copy_ns,
+        } => {
+            stats.copy_completed();
+            if let Some(ns) = copy_ns.filter(|_| telemetry.is_enabled()) {
+                telemetry.copy_duration().record(ns);
+            }
+            if let Some((view, node)) = cluster {
+                view.note_admitted(file, *node);
+            }
+            let event = EventKind::CopyCompleted {
+                file: file.to_string(),
+                tier,
+                bytes,
+                micros: copy_ns.map_or(0, |ns| ns / 1_000),
+            };
+            (event, Some((tier, Kind::Admitted, cause)))
+        }
+        Transition::Promoted { tier } => {
+            stats.prefetch_promote();
+            let event = EventKind::PrefetchPromoted {
+                file: file.to_string(),
+            };
+            (event, Some((tier, Kind::Promoted, TransitionCause::Demand)))
+        }
+        Transition::Evicted {
+            tier,
+            bytes,
+            cause,
+            reason,
+        } => {
+            stats.record_evict(tier);
+            policy.on_evicted(file);
+            let point = if cause == TransitionCause::Eviction {
+                DecisionPoint::PlanEvict
+            } else {
+                DecisionPoint::PressureEvict
+            };
+            journal_policy(telemetry, policy, t_us, file, point, "evict", reason);
+            if let Some((view, node)) = cluster {
+                view.note_evicted(file, *node);
+            }
+            let event = EventKind::Evicted {
+                file: file.to_string(),
+                tier,
+                bytes,
+            };
+            (event, Some((tier, Kind::Evicted, cause)))
+        }
+        Transition::Withdrawn { tier, cause } => {
+            stats.prefetch_cancel();
+            let event = EventKind::PrefetchCanceled {
+                file: file.to_string(),
+            };
+            (event, Some((tier, Kind::Canceled, cause)))
+        }
+        Transition::Requeued { tier, reason } => {
+            stats.copy_requeue();
+            let event = EventKind::CopyRequeued {
+                file: file.to_string(),
+                reason: reason.to_string(),
+            };
+            let residency = tier.map(|tier| (tier, Kind::Canceled, TransitionCause::Demand));
+            (event, residency)
+        }
+        Transition::Skipped => {
+            stats.placement_skip();
+            let event = EventKind::PlacementSkipped {
+                file: file.to_string(),
+                reason: "no local tier had room".to_string(),
+            };
+            (event, None)
+        }
+    };
+    telemetry.event_at(t_us, event);
+    if let Some((tier, kind, cause)) = residency {
+        let timeline = telemetry.observe().timeline();
+        timeline.record_at(t_us, file, tier, kind, cause);
+    }
+}
+
+/// Ask the admission gate whether a copy of `file` is worth its bandwidth
+/// at `point`, journal the verdict, and count a denial. Shared by the real
+/// engine and the simulator.
+pub fn admit_copy(
+    telemetry: &TelemetryRegistry,
+    policy: &PolicyEngine,
+    t_us: u64,
+    file: &str,
+    bytes: u64,
+    point: DecisionPoint,
+) -> bool {
+    let admitted = policy.admit(file, bytes, point);
+    let (verdict, reason) = match (admitted, point) {
+        (true, DecisionPoint::DemandAdmit) => {
+            ("admit", "demand miss admitted to the copy pipeline")
+        }
+        (true, _) => ("admit", "plan entry admitted to the prefetch lane"),
+        (false, DecisionPoint::DemandAdmit) => (
+            "deny",
+            "admission policy refused the copy; the file stays on the PFS",
+        ),
+        (false, _) => ("deny", "admission policy refused the speculative copy"),
+    };
+    if !admitted {
+        telemetry.stats().policy_denial();
+    }
+    journal_policy(telemetry, policy, t_us, file, point, verdict, reason);
+    admitted
+}
+
+/// Journal one policy verdict with its decision point and cause.
+fn journal_policy(
+    telemetry: &TelemetryRegistry,
+    policy: &PolicyEngine,
+    t_us: u64,
+    file: &str,
+    point: DecisionPoint,
+    verdict: &str,
+    reason: &str,
+) {
+    telemetry.event_at(
+        t_us,
+        EventKind::PolicyDecision {
+            file: file.to_string(),
+            point: point.as_str().to_string(),
+            policy: policy.name().to_string(),
+            verdict: verdict.to_string(),
+            reason: reason.to_string(),
+        },
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -289,7 +529,7 @@ pub struct TransferEngine {
     /// from actual placement, not intent.
     ///
     /// [`ClusterView`]: crate::cluster::ClusterView
-    cluster_feed: Mutex<Option<(Arc<crate::cluster::ClusterView>, usize)>>,
+    cluster_feed: Mutex<Option<ClusterFeed>>,
     /// Capacity reservations currently held by in-flight copy tasks
     /// (`file → (tier, bytes)`). Registered after `try_place` reserves,
     /// cleared when the copy settles either way; the pool's panic handler
@@ -398,7 +638,7 @@ impl TransferEngine {
         *self.cluster_feed.lock() = Some((view, node));
     }
 
-    fn cluster_feed(&self) -> Option<(Arc<crate::cluster::ClusterView>, usize)> {
+    fn cluster_feed(&self) -> Option<ClusterFeed> {
         self.cluster_feed.lock().clone()
     }
 
@@ -423,15 +663,22 @@ impl TransferEngine {
         self.policy.snapshot()
     }
 
-    /// Journal one policy verdict with its decision point and cause.
-    fn journal_policy(&self, file: &str, point: DecisionPoint, verdict: &str, reason: &str) {
-        self.telemetry.event(EventKind::PolicyDecision {
-            file: file.to_string(),
-            point: point.as_str().to_string(),
-            policy: self.policy.name().to_string(),
-            verdict: verdict.to_string(),
-            reason: reason.to_string(),
-        });
+    /// Ask admission about a copy at `point`, journaling the verdict now.
+    fn admit(&self, file: &str, size: u64, point: DecisionPoint) -> bool {
+        let t_us = self.telemetry.now_micros();
+        admit_copy(&self.telemetry, &self.policy, t_us, file, size, point)
+    }
+
+    /// Record a placement transition of `file` this engine performed, now.
+    fn transition(&self, file: &str, transition: Transition<'_>) {
+        record_transition(
+            &self.telemetry,
+            &self.policy,
+            self.cluster_feed().as_ref(),
+            self.telemetry.now_micros(),
+            file,
+            transition,
+        );
     }
 
     /// Number of copy worker threads.
@@ -482,37 +729,19 @@ impl TransferEngine {
         // bandwidth. A denial is non-terminal: the CAS reverts and a later
         // miss re-asks, so a file can earn admission as its profile warms.
         // Remote installs skip the gate — the bytes are already fetched.
-        if ctx.lane == Lane::Demand {
-            if self.policy.admit(file, size, DecisionPoint::DemandAdmit) {
-                self.journal_policy(
-                    file,
-                    DecisionPoint::DemandAdmit,
-                    "admit",
-                    "demand miss admitted to the copy pipeline",
-                );
-            } else {
-                self.stats.policy_denial();
-                self.journal_policy(
-                    file,
-                    DecisionPoint::DemandAdmit,
-                    "deny",
-                    "admission policy refused the copy; the file stays on the PFS",
-                );
-                let _ = self.metadata.abort_copy(file, false);
-                return false;
-            }
+        if ctx.lane == Lane::Demand && !self.admit(file, size, DecisionPoint::DemandAdmit) {
+            let _ = self.metadata.abort_copy(file, false);
+            return false;
         }
-        self.stats.copy_scheduled();
-        self.telemetry.event(EventKind::CopyScheduled {
-            file: file.to_string(),
-            bytes: size,
-        });
+        self.transition(
+            file,
+            Transition::Scheduled {
+                bytes: size,
+                prefetch: false,
+            },
+        );
         let tr = self.telemetry.trace();
-        let queued_us = if ctx.flow != 0 {
-            self.telemetry.now_micros()
-        } else {
-            0
-        };
+        let queued_us = self.telemetry.micros_if(ctx.flow != 0);
         if ctx.flow != 0 {
             let sched = SpanRecord::new(
                 names::COPY_SCHEDULED,
@@ -533,6 +762,20 @@ impl TransferEngine {
                 sched.arg_u64("flow", ctx.flow)
             });
         }
+        self.submit_copy(file, size, inline_data, ctx, queued_us)
+    }
+
+    /// Queue `file`'s copy on `ctx.lane`. A refused submission (shutdown)
+    /// reverts the metadata CAS so the state stays clean. Returns whether
+    /// the copy was queued.
+    fn submit_copy(
+        &self,
+        file: &str,
+        size: u64,
+        inline_data: Option<Vec<u8>>,
+        ctx: ReadCtx,
+        queued_us: u64,
+    ) -> bool {
         let job = CopyJob {
             hierarchy: Arc::clone(&self.hierarchy),
             metadata: Arc::clone(&self.metadata),
@@ -558,7 +801,6 @@ impl TransferEngine {
             Box::new(move || job.run(&owned, size, inline_data)),
         );
         if !submitted {
-            // Pool refused (shutdown): revert so the state stays clean.
             let _ = self.metadata.abort_copy(file, false);
         }
         submitted
@@ -692,17 +934,7 @@ impl TransferEngine {
                 // letting the demand path wait behind unrelated prefetches
                 // (it cannot enqueue a duplicate: the metadata CAS is held
                 // by the queued job).
-                self.stats.prefetch_promote();
-                self.telemetry.event(EventKind::PrefetchPromoted {
-                    file: file.to_string(),
-                });
-                self.telemetry.observe().timeline().record_at(
-                    self.telemetry.now_micros(),
-                    file,
-                    served,
-                    ResidencyEventKind::Promoted,
-                    TransitionCause::Demand,
-                );
+                self.transition(file, Transition::Promoted { tier: served });
             }
         }
         // The cursor moved: more of the plan may now be issued.
@@ -733,29 +965,15 @@ impl TransferEngine {
         if let Some(quota) = tier.quota.as_ref() {
             quota.release(info.size);
         }
-        self.stats.record_evict(info.tier);
-        self.policy.on_evicted(file);
-        self.journal_policy(
+        self.transition(
             file,
-            DecisionPoint::PlanEvict,
-            "evict",
-            "explicit eviction pushed the file back to the PFS",
+            Transition::Evicted {
+                tier: info.tier,
+                bytes: info.size,
+                cause: TransitionCause::Eviction,
+                reason: "explicit eviction pushed the file back to the PFS",
+            },
         );
-        self.telemetry.event(EventKind::Evicted {
-            file: file.to_string(),
-            tier: info.tier,
-            bytes: info.size,
-        });
-        self.telemetry.observe().timeline().record_at(
-            self.telemetry.now_micros(),
-            file,
-            info.tier,
-            ResidencyEventKind::Evicted,
-            TransitionCause::Eviction,
-        );
-        if let Some((view, node)) = self.cluster_feed() {
-            view.note_evicted(file, node);
-        }
         Ok(true)
     }
 
@@ -833,16 +1051,12 @@ impl TransferEngine {
         for ctx in canceled {
             let _ = self.metadata.abort_copy(&ctx.label, false);
             self.policy.unpin(&ctx.label);
-            self.stats.prefetch_cancel();
-            self.telemetry.event(EventKind::PrefetchCanceled {
-                file: ctx.label.clone(),
-            });
-            self.telemetry.observe().timeline().record_at(
-                self.telemetry.now_micros(),
+            self.transition(
                 &ctx.label,
-                self.hierarchy.source_id(),
-                ResidencyEventKind::Canceled,
-                cause,
+                Transition::Withdrawn {
+                    tier: self.hierarchy.source_id(),
+                    cause,
+                },
             );
             if let Some(window) = window.as_deref_mut() {
                 window.resolve_by_name(&ctx.label);
@@ -904,37 +1118,21 @@ impl TransferEngine {
             Ok(true) => {}
             _ => return None,
         }
-        if !self.policy.admit(file, size, DecisionPoint::PrefetchAdmit) {
-            self.stats.policy_denial();
-            self.journal_policy(
-                file,
-                DecisionPoint::PrefetchAdmit,
-                "deny",
-                "admission policy refused the speculative copy",
-            );
+        if !self.admit(file, size, DecisionPoint::PrefetchAdmit) {
             let _ = self.metadata.abort_copy(file, false);
             return None;
         }
-        self.journal_policy(
+        self.transition(
             file,
-            DecisionPoint::PrefetchAdmit,
-            "admit",
-            "plan entry admitted to the prefetch lane",
+            Transition::Scheduled {
+                bytes: size,
+                prefetch: true,
+            },
         );
-        self.stats.copy_scheduled();
-        self.stats.prefetch_scheduled();
-        self.telemetry.event(EventKind::PrefetchScheduled {
-            file: file.to_string(),
-            bytes: size,
-        });
         let tr = self.telemetry.trace();
         let traced = tr.is_enabled();
         let flow = if traced { tr.next_id() } else { 0 };
-        let queued_us = if traced {
-            self.telemetry.now_micros()
-        } else {
-            0
-        };
+        let queued_us = self.telemetry.micros_if(traced);
         if traced {
             // Like prestage, the flow starts at the scheduling span (there
             // is no foreground pread yet — the read it serves may be far in
@@ -953,32 +1151,8 @@ impl TransferEngine {
                 .with_flow(flow, FlowPhase::Start),
             );
         }
-        let job = CopyJob {
-            hierarchy: Arc::clone(&self.hierarchy),
-            metadata: Arc::clone(&self.metadata),
-            policy: Arc::clone(&self.policy),
-            stats: Arc::clone(&self.stats),
-            telemetry: Arc::clone(&self.telemetry),
-            shutting_down: Arc::clone(&self.shutting_down),
-            lane: Lane::Prefetch,
-            flow,
-            queued_us,
-            deadline: None,
-            cluster_feed: self.cluster_feed(),
-            reservations: Arc::clone(&self.reservations),
-        };
-        let owned = file.to_string();
-        let task_ctx = TaskCtx {
-            label: file.to_string(),
-            flow,
-        };
-        let submitted = self.pool.submit_on(
-            Lane::Prefetch,
-            Some(task_ctx),
-            Box::new(move || job.run(&owned, size, None)),
-        );
-        if !submitted {
-            let _ = self.metadata.abort_copy(file, false);
+        let ctx = ReadCtx::traced(0, flow).on_lane(Lane::Prefetch);
+        if !self.submit_copy(file, size, None, ctx, queued_us) {
             return None;
         }
         // Staged speculatively: protect it from eviction until its planned
@@ -1175,7 +1349,7 @@ struct CopyJob {
     /// Drop the copy if a worker has not started it by this instant.
     deadline: Option<Instant>,
     /// Peer-cache residency feed, mirrored on admit/evict when present.
-    cluster_feed: Option<(Arc<crate::cluster::ClusterView>, usize)>,
+    cluster_feed: Option<ClusterFeed>,
     /// The engine's live-reservation registry (see
     /// [`TransferEngine::reservations`]).
     reservations: Arc<Mutex<HashMap<String, (TierId, u64)>>>,
@@ -1190,16 +1364,17 @@ struct CopyTraceCtx {
 }
 
 impl CopyJob {
-    /// Journal one policy verdict with its decision point and cause (same
-    /// shape as the engine-side helper; the task owns its own `Arc`s).
-    fn journal_policy(&self, file: &str, point: DecisionPoint, verdict: &str, reason: &str) {
-        self.telemetry.event(EventKind::PolicyDecision {
-            file: file.to_string(),
-            point: point.as_str().to_string(),
-            policy: self.policy.name().to_string(),
-            verdict: verdict.to_string(),
-            reason: reason.to_string(),
-        });
+    /// Record a placement transition of `file` this task performed, now
+    /// (same fan-out as the engine's; the task owns its own `Arc`s).
+    fn transition(&self, file: &str, transition: Transition<'_>) {
+        record_transition(
+            &self.telemetry,
+            &self.policy,
+            self.cluster_feed.as_ref(),
+            self.telemetry.now_micros(),
+            file,
+            transition,
+        );
     }
 
     fn run(&self, file: &str, size: u64, inline_data: Option<Vec<u8>>) {
@@ -1235,11 +1410,7 @@ impl CopyJob {
         }
         let tr = self.telemetry.trace();
         let traced = self.flow != 0 && tr.is_enabled();
-        let exec_t0 = if traced {
-            self.telemetry.now_micros()
-        } else {
-            0
-        };
+        let exec_t0 = self.telemetry.micros_if(traced);
         let copy_trace = if traced {
             // The queue-wait interval spans enqueue → dequeue; it renders on
             // its own reserved track because it belongs to neither the
@@ -1290,36 +1461,24 @@ impl CopyJob {
         }
         match result {
             Ok(Some(tier)) => {
-                self.stats.copy_completed();
-                let elapsed = started.elapsed();
-                if self.telemetry.is_enabled() {
-                    self.telemetry.copy_duration().record_duration(elapsed);
-                }
-                self.telemetry.event(EventKind::CopyCompleted {
-                    file: file.to_string(),
-                    tier,
-                    bytes: size,
-                    micros: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-                });
-                let observe = self.telemetry.observe();
-                let cause = match self.lane {
-                    // Remote installs are demand driven: a foreground read
-                    // triggered the peer fetch, only the install ran later.
-                    Lane::Demand | Lane::Remote => TransitionCause::Demand,
-                    Lane::Prefetch => TransitionCause::Plan,
-                };
-                observe.timeline().record_at(
-                    self.telemetry.now_micros(),
+                self.transition(
                     file,
-                    tier,
-                    ResidencyEventKind::Admitted,
-                    cause,
+                    Transition::Admitted {
+                        tier,
+                        bytes: size,
+                        // Remote installs are demand driven: a foreground read
+                        // triggered the peer fetch, only the install ran later.
+                        cause: match self.lane {
+                            Lane::Demand | Lane::Remote => TransitionCause::Demand,
+                            Lane::Prefetch => TransitionCause::Plan,
+                        },
+                        copy_ns: Some(
+                            u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                        ),
+                    },
                 );
-                if let Some((view, node)) = &self.cluster_feed {
-                    view.note_admitted(file, *node);
-                }
                 if self.lane == Lane::Prefetch {
-                    observe.profiler().record_prefetch_staged(
+                    self.telemetry.observe().profiler().record_prefetch_staged(
                         file,
                         size,
                         self.telemetry.now_micros(),
@@ -1333,22 +1492,17 @@ impl CopyJob {
                 // Otherwise the dataset genuinely does not fit — pin the
                 // file to the PFS permanently (placement for it has ended,
                 // paper §III-B last paragraph).
-                let quarantined = self
-                    .hierarchy
-                    .local_tiers()
-                    .any(|t| self.hierarchy.health().tier(t.id).is_quarantined());
+                let quarantined = self.hierarchy.any_local_quarantined();
                 if quarantined {
-                    self.stats.copy_requeue();
-                    self.telemetry.event(EventKind::CopyRequeued {
-                        file: file.to_string(),
-                        reason: "placement skipped while a tier is quarantined".to_string(),
-                    });
+                    self.transition(
+                        file,
+                        Transition::Requeued {
+                            tier: None,
+                            reason: "placement skipped while a tier is quarantined",
+                        },
+                    );
                 } else {
-                    self.stats.placement_skip();
-                    self.telemetry.event(EventKind::PlacementSkipped {
-                        file: file.to_string(),
-                        reason: "no local tier had room".to_string(),
-                    });
+                    self.transition(file, Transition::Skipped);
                 }
                 let _ = self.metadata.abort_copy(file, !quarantined);
             }
@@ -1359,17 +1513,16 @@ impl CopyJob {
                 // *requeue* rather than a plain failure: `Unplaced` re-arms
                 // demand placement, and the policy's quarantine skip routes
                 // the next attempt around the sick tier.
-                let quarantined = device_error_class(&e).is_some()
-                    && self
-                        .hierarchy
-                        .local_tiers()
-                        .any(|t| self.hierarchy.health().tier(t.id).is_quarantined());
+                let quarantined =
+                    device_error_class(&e).is_some() && self.hierarchy.any_local_quarantined();
                 if quarantined {
-                    self.stats.copy_requeue();
-                    self.telemetry.event(EventKind::CopyRequeued {
-                        file: file.to_string(),
-                        reason: format!("target tier quarantined: {e}"),
-                    });
+                    self.transition(
+                        file,
+                        Transition::Requeued {
+                            tier: None,
+                            reason: &format!("target tier quarantined: {e}"),
+                        },
+                    );
                 } else {
                     self.stats.copy_failed();
                     self.telemetry.event(EventKind::CopyFailed {
@@ -1393,11 +1546,7 @@ impl CopyJob {
         ct: Option<&CopyTraceCtx>,
     ) -> Result<Option<TierId>> {
         let tr = self.telemetry.trace();
-        let t_decide = if ct.is_some() {
-            self.telemetry.now_micros()
-        } else {
-            0
-        };
+        let t_decide = self.telemetry.micros_if(ct.is_some());
         let decision = self.policy.place(&self.hierarchy, file, size)?;
         if let Some(ct) = ct {
             let mut span = SpanRecord::new(
@@ -1442,29 +1591,15 @@ impl CopyJob {
                         self.metadata.evict_to(victim, self.hierarchy.source_id())?;
                         dest.driver.remove(victim)?;
                         quota.release(vinfo.size);
-                        self.stats.record_evict(decision.tier);
-                        self.policy.on_evicted(victim);
-                        self.journal_policy(
+                        self.transition(
                             victim,
-                            DecisionPoint::PressureEvict,
-                            "evict",
-                            "selected by the eviction policy to make room for an incoming copy",
+                            Transition::Evicted {
+                                tier: decision.tier,
+                                bytes: vinfo.size,
+                                cause: TransitionCause::Policy,
+                                reason: EVICT_TO_MAKE_ROOM,
+                            },
                         );
-                        self.telemetry.event(EventKind::Evicted {
-                            file: victim.clone(),
-                            tier: decision.tier,
-                            bytes: vinfo.size,
-                        });
-                        self.telemetry.observe().timeline().record_at(
-                            self.telemetry.now_micros(),
-                            victim,
-                            decision.tier,
-                            ResidencyEventKind::Evicted,
-                            TransitionCause::Policy,
-                        );
-                        if let Some((view, node)) = &self.cluster_feed {
-                            view.note_evicted(victim, *node);
-                        }
                     }
                 }
             }
@@ -1492,11 +1627,7 @@ impl CopyJob {
             let data = match inline_data {
                 Some(ref data) => data.clone(),
                 None => {
-                    let t_read = if ct.is_some() {
-                        self.telemetry.now_micros()
-                    } else {
-                        0
-                    };
+                    let t_read = self.telemetry.micros_if(ct.is_some());
                     let source = self.hierarchy.source();
                     let data = source.driver.read_full(file).map_err(|e| (source.id, e))?;
                     self.stats.record_read(source.id, data.len() as u64);
@@ -1518,11 +1649,7 @@ impl CopyJob {
                     data
                 }
             };
-            let t_write = if ct.is_some() {
-                self.telemetry.now_micros()
-            } else {
-                0
-            };
+            let t_write = self.telemetry.micros_if(ct.is_some());
             dest.driver
                 .write_full(file, &data)
                 .map_err(|e| (decision.tier, e))?;
@@ -1564,11 +1691,9 @@ impl CopyJob {
             };
             let (_, quarantined_now) = health.record_error(err_tier, class);
             if quarantined_now {
-                self.stats.tier_quarantine();
-                self.telemetry.event(EventKind::TierQuarantined {
-                    tier: err_tier,
-                    reason: format!("copy of '{file}' failed: {e}"),
-                });
+                let t_us = self.telemetry.now_micros();
+                let reason = format!("copy of '{file}' failed: {e}");
+                self.telemetry.tier_quarantined(t_us, err_tier, reason);
             }
             match class {
                 ErrorClass::Transient if attempts < retry.max_attempts => {
@@ -1588,11 +1713,7 @@ impl CopyJob {
         };
         match failure {
             None => {
-                let t_reg = if ct.is_some() {
-                    self.telemetry.now_micros()
-                } else {
-                    0
-                };
+                let t_reg = self.telemetry.micros_if(ct.is_some());
                 self.reservations.lock().remove(file);
                 self.metadata.finish_copy(file, decision.tier)?;
                 self.policy.on_placed(file, size, decision.tier);
@@ -1665,29 +1786,15 @@ impl CopyJob {
         }
         let _ = dest.driver.remove(&victim);
         quota.release(vsize);
-        self.stats.record_evict(tier_id);
-        self.policy.on_evicted(&victim);
-        self.journal_policy(
+        self.transition(
             &victim,
-            DecisionPoint::PressureEvict,
-            "evict",
-            "evicted under ENOSPC pressure to free real device space",
+            Transition::Evicted {
+                tier: tier_id,
+                bytes: vsize,
+                cause: TransitionCause::Policy,
+                reason: "evicted under ENOSPC pressure to free real device space",
+            },
         );
-        self.telemetry.event(EventKind::Evicted {
-            file: victim.clone(),
-            tier: tier_id,
-            bytes: vsize,
-        });
-        self.telemetry.observe().timeline().record_at(
-            self.telemetry.now_micros(),
-            &victim,
-            tier_id,
-            ResidencyEventKind::Evicted,
-            TransitionCause::Policy,
-        );
-        if let Some((view, node)) = &self.cluster_feed {
-            view.note_evicted(&victim, *node);
-        }
         true
     }
 }
@@ -1697,7 +1804,9 @@ mod tests {
     use super::*;
     use crate::config::TelemetryConfig;
     use crate::config::{AdmissionKind, PolicyKind};
-    use crate::driver::{open_gate, Gate, GatedDriver, MemDriver, StorageDriver};
+    use crate::driver::{
+        open_gate, FlakyDriver, FlakyOutcome, Gate, GatedDriver, MemDriver, StorageDriver,
+    };
     use std::time::Duration;
 
     // -- LaneQueues ---------------------------------------------------------
@@ -1790,13 +1899,22 @@ mod tests {
         threads: usize,
         prefetch: PrefetchConfig,
     ) -> TransferEngine {
+        let ssd = Arc::new(MemDriver::new("ssd"));
+        assemble_with(ssd, 1 << 20, PolicyKind::FirstFit, pfs, threads, prefetch)
+    }
+
+    /// [`assemble`] over an explicit local tier, capacity and policy.
+    fn assemble_with(
+        local: Arc<dyn StorageDriver>,
+        cap: u64,
+        policy: PolicyKind,
+        pfs: Arc<dyn StorageDriver>,
+        threads: usize,
+        prefetch: PrefetchConfig,
+    ) -> TransferEngine {
         let hierarchy = Arc::new(
             StorageHierarchy::new(vec![
-                (
-                    "ssd".into(),
-                    Arc::new(MemDriver::new("ssd")) as Arc<dyn StorageDriver>,
-                    Some(1 << 20),
-                ),
+                ("ssd".into(), local, Some(cap)),
                 ("pfs".into(), pfs, None),
             ])
             .unwrap(),
@@ -1811,10 +1929,7 @@ mod tests {
             Arc::clone(&stats),
             &TelemetryConfig::default(),
         ));
-        let policy = Arc::new(PolicyEngine::from_kind(
-            PolicyKind::FirstFit,
-            AdmissionKind::AdmitAll,
-        ));
+        let policy = Arc::new(PolicyEngine::from_kind(policy, AdmissionKind::AdmitAll));
         TransferEngine::new(
             hierarchy, metadata, policy, stats, telemetry, threads, prefetch,
         )
@@ -2138,6 +2253,70 @@ mod tests {
         assert!(engine.demand("f000", 512, None, ReadCtx::untraced()));
         engine.wait_idle();
         assert_eq!(engine.metadata.get("f000").unwrap().tier, 0);
+        engine.drain();
+    }
+
+    #[test]
+    fn every_eviction_entry_point_records_one_transition() {
+        // Two 512-byte files fit the local tier. Each eviction entry point
+        // (explicit, ENOSPC pressure, policy pressure) must land exactly
+        // once in every view: counter, journal, policy verdict, timeline
+        // and the peer-cache view.
+        let ssd = Arc::new(FlakyDriver::new(MemDriver::new("ssd")));
+        let mut engine = assemble_with(
+            Arc::clone(&ssd) as Arc<dyn StorageDriver>,
+            1024,
+            PolicyKind::LruEvict,
+            Arc::new(staged_pfs(4)),
+            1,
+            PrefetchConfig::disabled(),
+        );
+        let view = Arc::new(crate::cluster::ClusterView::new());
+        engine.set_cluster_feed(Arc::clone(&view), 2);
+        let place = |file: &str| {
+            assert!(engine.demand(file, 512, None, ReadCtx::untraced()));
+            engine.wait_idle();
+            assert_eq!(engine.metadata.get(file).unwrap().tier, 0, "{file} placed");
+        };
+        let records = |point: &str| {
+            let events = engine.telemetry.journal().events();
+            let verdicts = events.iter().filter(|e| {
+                matches!(&e.kind, EventKind::PolicyDecision { verdict, point: p, .. }
+                    if verdict == "evict" && p == point)
+            });
+            let timeline = engine.telemetry.observe().timeline().snapshot();
+            (
+                engine.stats.snapshot().evictions,
+                events.iter().filter(|e| e.kind.tag() == "evicted").count(),
+                verdicts.count(),
+                timeline
+                    .events
+                    .iter()
+                    .filter(|e| e.kind == ResidencyEventKind::Evicted)
+                    .count(),
+            )
+        };
+        place("f000");
+        place("f001");
+        assert!(view.holds("f000", 2) && view.holds("f001", 2));
+
+        assert!(engine.evict("f000").unwrap());
+        assert_eq!(records("plan_evict"), (1, 1, 1, 1), "explicit evict");
+        assert!(!view.holds("f000", 2));
+
+        // The quota has room but the device reports ENOSPC once: the
+        // install evicts the other resident and retries.
+        ssd.script_writes([FlakyOutcome::Enospc]);
+        place("f000");
+        assert_eq!(records("pressure_evict"), (2, 2, 1, 2), "ENOSPC evict");
+        assert!(!view.holds("f001", 2) && view.holds("f000", 2));
+
+        // The quota is full: LRU makes room for the newcomer.
+        place("f002");
+        place("f003");
+        assert_eq!(records("pressure_evict"), (3, 3, 2, 3), "policy evict");
+        assert!(!view.holds("f000", 2), "the LRU victim left the view");
+        assert_eq!(view.files(), 2);
         engine.drain();
     }
 

@@ -6,13 +6,35 @@ use monarch_core::config::{AdmissionKind, PolicyKind};
 use monarch_core::driver::MemDriver;
 use monarch_core::hierarchy::{Quota, StorageHierarchy};
 use monarch_core::metadata::PlacementState;
-use monarch_core::observe::{AccessProfiler, ReadClass, ReadTiming};
+use monarch_core::observe::{AccessProfiler, ReadClass};
 use monarch_core::policy::{EvictCtx, EvictionPolicy, LfuEviction, LruEviction, PolicyEngine};
 use monarch_core::prefetch::{PrefetchConfig, PrefetchWindow};
-use monarch_core::telemetry::LatencyHistogram;
+use monarch_core::telemetry::{LatencyHistogram, ReadOutcome};
 use monarch_core::{MonarchBuilder, StorageDriver};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+
+/// A read of `bytes` of `file` from tier 0 with the given class and
+/// phases (ns), starting at `start_us`.
+fn read_of(
+    file: &str,
+    bytes: u64,
+    class: ReadClass,
+    start_us: u64,
+    phases_ns: [u64; 4],
+) -> ReadOutcome<'_> {
+    ReadOutcome {
+        file,
+        resident: 0,
+        served: Some(0),
+        bytes,
+        class,
+        prefetch_hit: false,
+        start_us,
+        phases_ns,
+        span: None,
+    }
+}
 
 /// Greedily issue everything the window allows, asserting each entry is
 /// issued at most once, then resolve it (copy "completes" instantly).
@@ -342,10 +364,10 @@ proptest! {
     ) {
         let p = AccessProfiler::new(true, 2, 16);
         let mut t = start;
-        p.record_read("f", 0, 1, ReadClass::Fast, false, ReadTiming::default(), t);
+        p.record_read(&read_of("f", 1, ReadClass::Fast, t, [0; 4]));
         for &g in &gaps {
             t += g;
-            p.record_read("f", 0, 1, ReadClass::Fast, false, ReadTiming::default(), t);
+            p.record_read(&read_of("f", 1, ReadClass::Fast, t, [0; 4]));
         }
         let snap = p.snapshot();
         let f = &snap.files[0].profile;
@@ -383,15 +405,9 @@ proptest! {
             };
             per_class[class_i as usize] += pread;
             wall += pread + 2;
-            let timing = ReadTiming {
-                wall_us: pread + 2,
-                pread_us: pread,
-                lock_queue_us: 1,
-                copy_wait_us: 1,
-            };
-            p.record_read(
-                &format!("f{fi:03}"), 0, bytes, class, false, timing, i as u64,
-            );
+            let file = format!("f{fi:03}");
+            let phases_ns = [1_000, 0, pread * 1_000, 1_000];
+            p.record_read(&read_of(&file, bytes, class, i as u64, phases_ns));
         }
         let snap = p.snapshot();
         prop_assert!(snap.tracked <= max_files as u64);

@@ -3,7 +3,7 @@
 # errors), and the full test suite. Run before pushing.
 #
 #   scripts/check.sh            # everything
-#   scripts/check.sh fmt        # one stage: fmt | clippy | size | test | trace | prefetch | policy | report | cluster | chaos | perf | serve
+#   scripts/check.sh fmt        # one stage: fmt | clippy | size | test | stress | trace | prefetch | policy | report | cluster | chaos | perf | serve
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +38,27 @@ run_clippy() {
 run_test() {
     echo "==> cargo test --workspace -q"
     cargo test --workspace -q
+}
+
+# Concurrency soak: the stress target races readers against placement,
+# LRU eviction and faults. Loop it on the default test threads and stop at
+# the first red run, so a rare interleaving cannot hide behind one pass.
+run_stress() {
+    local runs=50
+    echo "==> cargo test -p monarch-core --test stress -q, ${runs}x"
+    cargo test -p monarch-core --test stress -q --no-run
+    local log
+    log="$(mktemp)"
+    for i in $(seq 1 "$runs"); do
+        if ! cargo test -p monarch-core --test stress -q > "$log" 2>&1; then
+            cat "$log" >&2
+            rm -f "$log"
+            echo "stress: run $i of $runs failed" >&2
+            exit 1
+        fi
+    done
+    rm -f "$log"
+    echo "stress: $runs/$runs runs passed"
 }
 
 # Tracing end to end: the focused test targets, then a CLI smoke run that
@@ -327,6 +348,7 @@ case "$stage" in
     clippy) run_clippy ;;
     size) run_size ;;
     test) run_test ;;
+    stress) run_stress ;;
     trace) run_trace ;;
     prefetch) run_prefetch ;;
     policy) run_policy ;;
@@ -340,6 +362,7 @@ case "$stage" in
         run_clippy
         run_size
         run_test
+        run_stress
         run_trace
         run_prefetch
         run_policy
@@ -350,7 +373,7 @@ case "$stage" in
         run_perf
         ;;
     *)
-        echo "usage: scripts/check.sh [fmt|clippy|size|test|trace|prefetch|policy|report|cluster|chaos|perf|serve|all]" >&2
+        echo "usage: scripts/check.sh [fmt|clippy|size|test|stress|trace|prefetch|policy|report|cluster|chaos|perf|serve|all]" >&2
         exit 2
         ;;
 esac
