@@ -6,7 +6,7 @@ use std::sync::Arc;
 use monarch_core::config::TelemetryConfig;
 use monarch_core::driver::MemDriver;
 use monarch_core::hash::{FxHashMap, FxHashSet};
-use monarch_core::health::{ErrorClass, TierState};
+use monarch_core::health::{charge_device_error, ErrorClass};
 use monarch_core::hierarchy::StorageHierarchy;
 use monarch_core::metadata::{MetadataContainer, PlacementState};
 use monarch_core::observe::{
@@ -16,10 +16,10 @@ use monarch_core::policy::{DecisionPoint, FeatureSource, PolicyEngine};
 use monarch_core::pool::Lane;
 use monarch_core::stats::Stats;
 use monarch_core::telemetry::{
-    EventKind, ReadOutcome, ReadSpan, TelemetryRegistry, ThroughputSampler,
+    CopyRecord, EventKind, ReadOutcome, ReadSpan, TelemetryRegistry, ThroughputSampler,
 };
-use monarch_core::trace::{names, FlowPhase, SpanRecord, QUEUE_TRACK};
-use monarch_core::transfer::{admit_copy, record_transition, Transition, EVICT_TO_MAKE_ROOM};
+use monarch_core::trace::QUEUE_TRACK;
+use monarch_core::transfer::{publish_gauges, CopySite, PipelineGauges, Reservation, Transition};
 use monarch_core::{LaneQueues, StorageDriver};
 use simfs::clock::SimTime;
 use simfs::fault::FaultPlan;
@@ -167,8 +167,6 @@ struct MonarchSim {
     prestage: bool,
     /// Chunk-cache mode (full_fetch = false): bytes written per shard.
     chunk_written: FxHashMap<usize, u64>,
-    /// Placement skips (no tier had room).
-    skips: u64,
     /// Telemetry registry fed with *virtual* timestamps; shares the event
     /// schema and histogram types with the real middleware.
     telemetry: Arc<TelemetryRegistry>,
@@ -176,34 +174,59 @@ struct MonarchSim {
     copy_enqueued: FxHashMap<usize, SimTime>,
     /// Virtual dispatch instant per in-flight copy (duration histogram).
     copy_started: FxHashMap<usize, SimTime>,
-    /// Flow id per scheduled-but-not-dispatched copy (tracing runs only).
-    copy_flow: FxHashMap<usize, u64>,
+    /// Stage instants of each queued or running traced copy (tracing
+    /// runs only).
+    copy_records: FxHashMap<usize, CopyRecord>,
     /// Shards whose scheduled copy still awaits a traced PFS-served chunk
     /// read to carry the flow start (`ph:"s"`).
     flow_start_pending: FxHashMap<usize, u64>,
-    /// Trace identity of each dispatched copy (tracing runs only).
-    copy_trace: FxHashMap<usize, CopyTrace>,
 }
 
 impl MonarchSim {
-    /// Record a placement transition of `file` at virtual instant `now`
-    /// through the fan-out the real engine uses (the sim has no peer-cache
-    /// view).
-    fn transition(&self, now: SimTime, file: &str, transition: Transition<'_>) {
-        let t_us = vmicros(now);
-        record_transition(&self.telemetry, &self.policy, None, t_us, file, transition);
+    /// The sim's parts as the [`CopySite`] the real engine places, evicts
+    /// and records through (the sim has no peer-cache view).
+    fn site(&self) -> CopySite<'_> {
+        CopySite {
+            hierarchy: &self.hierarchy,
+            metadata: &self.meta,
+            policy: &self.policy,
+            telemetry: &self.telemetry,
+            cluster: None,
+        }
     }
-}
 
-/// Virtual-time trace identity of one dispatched placement copy: the
-/// flow linking it back to the read that scheduled it, the pre-allocated
-/// `copy_exec` span id its children parent to, the synthetic worker
-/// track, and the fetch→write stage boundary.
-struct CopyTrace {
-    flow: u64,
-    exec_id: u64,
-    tid: u64,
-    write_started: SimTime,
+    /// Record a placement transition of `file` at virtual instant `now`.
+    fn transition(&self, now: SimTime, file: &str, transition: Transition<'_>) {
+        self.site().transition(vmicros(now), file, transition);
+    }
+
+    /// Open the trace record of a traced copy of `shard` queued at `now`
+    /// and record its scheduling span.
+    fn trace_scheduled(&mut self, now: SimTime, shard: usize, file: &str, record: CopyRecord) {
+        let record = CopyRecord {
+            queued_us: vmicros(now),
+            ..record
+        };
+        let bytes = self.meta.get(file).map_or(0, |info| info.size);
+        self.telemetry.record_copy_scheduled(file, bytes, &record);
+        self.copy_records.insert(shard, record);
+    }
+
+    /// Close a traced copy's record at `now` with `outcome` and record its
+    /// execution span tree.
+    fn trace_settled(&mut self, now: SimTime, shard: usize, file: &str, outcome: &'static str) {
+        let Some(mut record) = self.copy_records.remove(&shard) else {
+            return;
+        };
+        record.ended_us = vmicros(now);
+        if outcome == "completed" {
+            record.written_us = Some(record.ended_us);
+        }
+        record.outcome = outcome;
+        let bytes = self.meta.get(file).map_or(0, |info| info.size);
+        let policy = self.policy.name();
+        self.telemetry.record_copy(file, bytes, policy, &record);
+    }
 }
 
 /// Discrete-event trainer for one `(setup, dataset, model)` combination.
@@ -237,7 +260,9 @@ impl SimTrainer {
     /// Run `epochs` training epochs, returning the measurements.
     #[must_use]
     pub fn run(&self, epochs: usize) -> RunReport {
-        World::build(self).run(epochs)
+        let mut world = World::build(self);
+        world.simulate(epochs);
+        world.report()
     }
 }
 
@@ -452,13 +477,11 @@ impl World {
                     full_fetch: cfg.full_file_fetch,
                     prestage: cfg.prestage,
                     chunk_written: FxHashMap::default(),
-                    skips: 0,
                     telemetry,
                     copy_enqueued: FxHashMap::default(),
                     copy_started: FxHashMap::default(),
-                    copy_flow: FxHashMap::default(),
+                    copy_records: FxHashMap::default(),
                     flow_start_pending: FxHashMap::default(),
-                    copy_trace: FxHashMap::default(),
                 };
                 (ModeTag::Monarch, Some(ms), devs)
             }
@@ -550,7 +573,8 @@ impl World {
 
     // -- top-level loop ----------------------------------------------------
 
-    fn run(mut self, epochs: usize) -> RunReport {
+    /// Run the event loop until `epochs` epochs have finished.
+    fn simulate(&mut self, epochs: usize) {
         self.epochs_total = epochs;
 
         // MONARCH initialises its namespace by scanning the dataset
@@ -635,7 +659,10 @@ impl World {
                 self.q.len(),
             );
         }
+    }
 
+    /// The measurements of a finished run.
+    fn report(self) -> RunReport {
         // Final gauge refresh so the attached snapshot carries end-of-run
         // values even when periodic tracing is disabled.
         self.sample_gauges();
@@ -702,82 +729,35 @@ impl World {
         }
     }
 
-    /// Refresh the MONARCH gauge families from live sim state — the same
-    /// family names the real engine's `GaugeSampler` publishes, so a
-    /// sim-backed snapshot exposes an identical schema. Sampled on every
-    /// trace tick, so gauge values move over the course of an epoch.
+    /// Refresh the MONARCH gauge families from live sim state through the
+    /// real engine's publisher, so a sim-backed snapshot exposes the same
+    /// families. Sampled on every trace tick, so gauge values move over the
+    /// course of an epoch.
     fn sample_gauges(&self) {
         let Some(ms) = self.monarch.as_ref() else {
             return;
         };
-        let g = ms.telemetry.gauges();
-        let levels = ms.hierarchy.levels();
-        let files = ms.meta.residency_histogram(levels);
-        for tier in ms.hierarchy.tiers() {
-            let labels = &[("tier", tier.name.as_str())];
-            if let Some(quota) = tier.quota.as_ref() {
-                g.gauge(
-                    "monarch_tier_occupancy_bytes",
-                    "Bytes resident on the tier (quota accounting).",
-                    labels,
-                )
-                .set(quota.used() as i64);
-                g.gauge(
-                    "monarch_tier_capacity_bytes",
-                    "Configured capacity of the tier in bytes.",
-                    labels,
-                )
-                .set(quota.capacity() as i64);
+        let prefetch = (ms.prefetch_lookahead > 0).then(|| {
+            let (mut copies, mut bytes) = (0, 0);
+            for &shard in ms.prefetch_issued.keys() {
+                let info = ms.meta.get(&self.shard_names[shard]);
+                if let Some(info) =
+                    info.filter(|i| matches!(i.state, PlacementState::Copying { .. }))
+                {
+                    copies += 1;
+                    bytes += info.size;
+                }
             }
-            g.gauge(
-                "monarch_tier_files",
-                "Files currently resident on the tier.",
-                labels,
-            )
-            .set(files.get(tier.id).copied().unwrap_or(0) as i64);
-            g.gauge(
-                "monarch_tier_health_state",
-                "Tier breaker state (0 closed, 1 suspect, 2 quarantined).",
-                labels,
-            )
-            .set(match ms.hierarchy.health().tier(tier.id).state() {
-                TierState::Closed => 0,
-                TierState::Suspect => 1,
-                TierState::Quarantined => 2,
-            });
-        }
-        g.gauge(
-            "monarch_degraded",
-            "1 while at least one tier is quarantined.",
-            &[],
-        )
-        .set(i64::from(ms.hierarchy.health().degraded()));
-        g.gauge(
-            "monarch_lane_queued",
-            "Copies queued (not yet started) per pool lane.",
-            &[("lane", "demand")],
-        )
-        .set(ms.lanes.queued(Lane::Demand) as i64);
-        g.gauge(
-            "monarch_lane_queued",
-            "Copies queued (not yet started) per pool lane.",
-            &[("lane", "prefetch")],
-        )
-        .set(ms.lanes.queued(Lane::Prefetch) as i64);
-        g.gauge(
-            "monarch_pool_inflight_jobs",
-            "Copies currently executing on pool workers.",
-            &[],
-        )
-        .set(ms.pool_threads.saturating_sub(ms.idle_workers) as i64);
-        if ms.prefetch_lookahead > 0 {
-            g.gauge(
-                "monarch_prefetch_window_lag_entries",
-                "Plan entries issued ahead of the read cursor.",
-                &[],
-            )
-            .set(ms.plan_issued.saturating_sub(ms.plan_cursor) as i64);
-        }
+            (copies, bytes, ms.plan_issued.saturating_sub(ms.plan_cursor))
+        });
+        let gauges = PipelineGauges {
+            queued: [Lane::Demand, Lane::Remote, Lane::Prefetch].map(|l| ms.lanes.queued(l)),
+            inflight_jobs: ms.pool_threads.saturating_sub(ms.idle_workers),
+            prefetch,
+            draining: false,
+            reads_in_flight: Some(self.readers.iter().filter(|r| r.inflight).count()),
+        };
+        publish_gauges(&ms.telemetry, &ms.hierarchy, &ms.meta, &gauges);
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
@@ -845,40 +825,27 @@ impl World {
                 let source = ms.tier_dev.len() - 1;
                 let tr = Arc::clone(ms.telemetry.trace());
                 for i in 0..self.geom.num_shards() {
-                    if ms
-                        .meta
-                        .begin_copy(&self.shard_names[i], source)
-                        .unwrap_or(false)
-                    {
+                    let name = &self.shard_names[i];
+                    if ms.meta.begin_copy(name, source).unwrap_or(false) {
                         ms.lanes.push(Lane::Demand, i);
                         ms.copy_enqueued.insert(i, now);
-                        ms.transition(
-                            now,
-                            &self.shard_names[i],
-                            Transition::Scheduled {
-                                bytes: self.geom.shards[i].bytes,
-                                prefetch: false,
-                            },
-                        );
+                        let bytes = self.geom.shards[i].bytes;
+                        let scheduled = Transition::Scheduled {
+                            bytes,
+                            prefetch: false,
+                        };
+                        ms.transition(now, name, scheduled);
                         if tr.is_enabled() {
                             // No foreground read exists, so the schedule
                             // span itself carries the flow start (like the
                             // real middleware's prestage path).
-                            let flow = tr.next_id();
-                            ms.copy_flow.insert(i, flow);
-                            tr.record(
-                                SpanRecord::new(
-                                    names::COPY_SCHEDULED,
-                                    "copy",
-                                    SIM_PRESTAGE_TRACK,
-                                    vmicros(now),
-                                    0,
-                                )
-                                .with_id(tr.next_id())
-                                .with_flow(flow, FlowPhase::Start)
-                                .arg_str("file", self.shard_names[i].clone())
-                                .arg_u64("bytes", self.geom.shards[i].bytes),
-                            );
+                            let traced = CopyRecord {
+                                flow: tr.next_id(),
+                                start_flow: true,
+                                scheduler_tid: SIM_PRESTAGE_TRACK,
+                                ..CopyRecord::default()
+                            };
+                            ms.trace_scheduled(now, i, name, traced);
                         }
                     }
                 }
@@ -1110,14 +1077,10 @@ impl World {
                             serve_tier = source_tier;
                         }
                     } else if faulted {
-                        let cfg = health.config();
                         ms.telemetry.stats().read_retry();
-                        let (state, transitioned) =
-                            tier_health.record_error(ErrorClass::Transient, &cfg, t_us);
-                        if transitioned && state == TierState::Quarantined {
-                            let reason = "injected device fault".into();
-                            ms.telemetry.tier_quarantined(t_us, info.tier, reason);
-                        }
+                        let class = ErrorClass::Transient;
+                        let reason = || "injected device fault".into();
+                        charge_device_error(health, &ms.telemetry, info.tier, class, t_us, reason);
                         serve_tier = source_tier;
                     } else {
                         tier_health.record_success(&health.config(), t_us);
@@ -1157,22 +1120,13 @@ impl World {
                                 // The flow start rides on the first traced
                                 // PFS-served `driver_pread` of this shard,
                                 // mirroring the real read path.
-                                let flow = tr.next_id();
-                                ms.copy_flow.insert(shard, flow);
-                                ms.flow_start_pending.insert(shard, flow);
-                                tr.record(
-                                    SpanRecord::new(
-                                        names::COPY_SCHEDULED,
-                                        "copy",
-                                        SIM_READER_TRACK0 + r as u64,
-                                        vmicros(now),
-                                        0,
-                                    )
-                                    .with_id(tr.next_id())
-                                    .arg_u64("flow", flow)
-                                    .arg_str("file", name.clone())
-                                    .arg_u64("bytes", self.geom.shards[shard].bytes),
-                                );
+                                let traced = CopyRecord {
+                                    flow: tr.next_id(),
+                                    scheduler_tid: SIM_READER_TRACK0 + r as u64,
+                                    ..CopyRecord::default()
+                                };
+                                ms.flow_start_pending.insert(shard, traced.flow);
+                                ms.trace_scheduled(now, shard, name, traced);
                             }
                             self.dispatch_copy_workers(now);
                         }
@@ -1200,29 +1154,12 @@ impl World {
                             // reserved (evict-free) decision proceeds.
                             match ms.policy.place(&ms.hierarchy, name, size) {
                                 Ok(Some(d)) if d.evict.is_empty() => {
-                                    let (used, capacity) = ms
-                                        .hierarchy
-                                        .tier(d.tier)
-                                        .ok()
-                                        .and_then(|t| t.quota.as_ref())
-                                        .map(|q| (q.used(), q.capacity()))
-                                        .unwrap_or((0, 0));
-                                    ms.telemetry.event_at(
-                                        vmicros(now),
-                                        EventKind::PlacementDecided {
-                                            file: name.clone(),
-                                            tier: d.tier,
-                                            used,
-                                            capacity,
-                                        },
-                                    );
+                                    ms.site().placement_decided(vmicros(now), name, d.tier);
                                     ms.copy_target.insert(shard, d.tier);
                                     ms.chunk_written.insert(shard, 0);
                                 }
                                 _ => {
-                                    ms.skips += 1;
-                                    ms.transition(now, name, Transition::Skipped);
-                                    let _ = ms.meta.abort_copy(name, true);
+                                    ms.site().settle_unplaced(vmicros(now), name);
                                 }
                             }
                         }
@@ -1489,26 +1426,8 @@ impl World {
                 let tier = *ms.copy_target.get(&shard).expect("copy target recorded");
                 ms.idle_workers += 1;
                 ms.pending_copy_writes += 1;
-                let tr = Arc::clone(ms.telemetry.trace());
-                let fetch_started = ms.copy_started.get(&shard).copied().unwrap_or(now);
-                let src_name = ms.hierarchy.source().name.clone();
-                if let Some(ct) = ms.copy_trace.get_mut(&shard) {
-                    if tr.is_enabled() {
-                        tr.record(
-                            SpanRecord::new(
-                                names::COPY_READ,
-                                "copy",
-                                ct.tid,
-                                vmicros(fetch_started),
-                                vmicros(now - fetch_started),
-                            )
-                            .with_id(tr.next_id())
-                            .with_parent(ct.exec_id)
-                            .arg_str("tier", src_name)
-                            .arg_u64("bytes", bytes),
-                        );
-                    }
-                    ct.write_started = now;
+                if let Some(record) = ms.copy_records.get_mut(&shard) {
+                    record.fetched_us = Some(vmicros(now));
                 }
                 let to = ms.tier_dev[tier];
                 let weight = self.devs[to].spec.write_weight;
@@ -1606,70 +1525,9 @@ impl World {
                         copy_ns: started.map(|at| vnanos(now - at)),
                     },
                 );
-                if let Some(ct) = ms.copy_trace.remove(&shard) {
-                    let tr = Arc::clone(ms.telemetry.trace());
-                    if tr.is_enabled() {
-                        let dst = ms
-                            .hierarchy
-                            .tier(tier)
-                            .map(|t| t.name.clone())
-                            .unwrap_or_default();
-                        tr.record(
-                            SpanRecord::new(
-                                names::COPY_WRITE,
-                                "copy",
-                                ct.tid,
-                                vmicros(ct.write_started),
-                                vmicros(now - ct.write_started),
-                            )
-                            .with_id(tr.next_id())
-                            .with_parent(ct.exec_id)
-                            .arg_str("tier", dst.clone())
-                            .arg_u64("bytes", size),
-                        );
-                        tr.record(
-                            SpanRecord::new(
-                                names::METADATA_REGISTER,
-                                "copy",
-                                ct.tid,
-                                vmicros(now),
-                                0,
-                            )
-                            .with_id(tr.next_id())
-                            .with_parent(ct.exec_id)
-                            .arg_str("tier", dst),
-                        );
-                        let t_exec = vmicros(started.unwrap_or(now));
-                        tr.record(
-                            SpanRecord::new(
-                                names::COPY_EXEC,
-                                "copy",
-                                ct.tid,
-                                t_exec,
-                                vmicros(now).saturating_sub(t_exec),
-                            )
-                            .with_id(ct.exec_id)
-                            .with_flow(ct.flow, FlowPhase::Finish)
-                            .arg_str("file", name.clone())
-                            .arg_u64("bytes", size)
-                            .arg_str("outcome", "completed"),
-                        );
-                    }
-                }
+                ms.trace_settled(now, shard, &name, "completed");
                 self.dispatch_copy_workers(now);
-                // Option (i): training starts once staging fully drains.
-                if self.prestaging {
-                    let ms = self.monarch.as_ref().expect("monarch");
-                    if ms.lanes.queued(Lane::Demand) == 0
-                        && ms.pending_copy_writes == 0
-                        && ms.copy_target.is_empty()
-                        && ms.idle_workers == ms.pool_threads
-                    {
-                        self.prestaging = false;
-                        self.prestage_seconds = (now - self.prestage_started).as_secs_f64();
-                        self.q.schedule(now, Ev::StartEpoch);
-                    }
-                }
+                self.maybe_finish_prestage(now);
             }
             Purpose::CacheWrite { shard } => {
                 self.pending_cache_writes -= 1;
@@ -1729,20 +1587,16 @@ impl World {
             ms.buffer_ready.remove(&shard);
             ms.pending_copy_writes -= 1;
             ms.copy_started.remove(&shard);
-            ms.copy_trace.remove(&shard);
+            ms.trace_settled(now, shard, name, "failed");
             ms.prefetch_issued.remove(&shard);
             ms.policy.unpin(name);
             if let Some(quota) = ms.hierarchy.tier(tier).ok().and_then(|t| t.quota.as_ref()) {
                 quota.release(size);
             }
             let _ = ms.meta.abort_copy(name, false);
+            let reason = || "copy write-back failed under injected fault".into();
             let health = ms.hierarchy.health();
-            let cfg = health.config();
-            let (state, transitioned) = health.tier(tier).record_error(class, &cfg, t_us);
-            if transitioned && state == TierState::Quarantined {
-                let reason = "copy write-back failed under injected fault".into();
-                ms.telemetry.tier_quarantined(t_us, tier, reason);
-            }
+            charge_device_error(health, &ms.telemetry, tier, class, t_us, reason);
             ms.transition(
                 now,
                 name,
@@ -1753,18 +1607,24 @@ impl World {
             );
         }
         self.dispatch_copy_workers(now);
-        // Option (i): a failed write still counts toward staging drain.
-        if self.prestaging {
-            let ms = self.monarch.as_ref().expect("monarch");
-            if ms.lanes.queued(Lane::Demand) == 0
-                && ms.pending_copy_writes == 0
-                && ms.copy_target.is_empty()
-                && ms.idle_workers == ms.pool_threads
-            {
-                self.prestaging = false;
-                self.prestage_seconds = (now - self.prestage_started).as_secs_f64();
-                self.q.schedule(now, Ev::StartEpoch);
-            }
+        self.maybe_finish_prestage(now);
+    }
+
+    /// Placement option (i): training starts once staging fully drains —
+    /// a failed write counts toward the drain too.
+    fn maybe_finish_prestage(&mut self, now: SimTime) {
+        if !self.prestaging {
+            return;
+        }
+        let ms = self.monarch.as_ref().expect("monarch");
+        if ms.lanes.queued(Lane::Demand) == 0
+            && ms.pending_copy_writes == 0
+            && ms.copy_target.is_empty()
+            && ms.idle_workers == ms.pool_threads
+        {
+            self.prestaging = false;
+            self.prestage_seconds = (now - self.prestage_started).as_secs_f64();
+            self.q.schedule(now, Ev::StartEpoch);
         }
     }
 
@@ -1961,36 +1821,15 @@ impl World {
         if !ms.meta.begin_copy(name, 0).unwrap_or(false) {
             return false;
         }
-        let admitted = admit_copy(&ms.telemetry, &ms.policy, vmicros(now), name, bytes, point);
+        let admitted = ms.site().admit(vmicros(now), name, bytes, point);
         if !admitted {
             let _ = ms.meta.abort_copy(name, false);
         }
         admitted
     }
 
-    /// Resolve a copy that found no placement. A quarantined tier requeues
-    /// the shard (non-terminal abort, so a post-recovery read re-admits
-    /// it); a genuinely full hierarchy skips it terminally, as before.
-    fn skip_or_requeue(ms: &mut MonarchSim, now: SimTime, name: &str) {
-        let quarantined = ms.hierarchy.any_local_quarantined();
-        if quarantined {
-            ms.transition(
-                now,
-                name,
-                Transition::Requeued {
-                    tier: None,
-                    reason: "tier quarantined",
-                },
-            );
-            let _ = ms.meta.abort_copy(name, false);
-        } else {
-            ms.skips += 1;
-            ms.transition(now, name, Transition::Skipped);
-            let _ = ms.meta.abort_copy(name, true);
-        }
-    }
-
     fn dispatch_copy_workers(&mut self, now: SimTime) {
+        let t_us = vmicros(now);
         loop {
             let ms = self.monarch.as_mut().expect("monarch");
             if ms.idle_workers == 0 || ms.pending_copy_writes >= 2 * ms.pool_threads {
@@ -1999,171 +1838,59 @@ impl World {
             let Some((shard, lane)) = ms.lanes.pop() else {
                 return;
             };
-            let prefetch_lane = lane == Lane::Prefetch;
-            let name = self.shard_names[shard].clone();
+            let name = &self.shard_names[shard];
             let size = self.geom.shards[shard].bytes;
-            match ms.policy.place(&ms.hierarchy, &name, size) {
-                Ok(Some(decision)) => {
-                    // Eviction-capable ablation policies: release victims.
-                    let mut reserved = decision.evict.is_empty();
-                    if !reserved {
-                        let tier = ms.hierarchy.tier(decision.tier).expect("tier exists");
-                        for victim in &decision.evict {
-                            if let Some(vinfo) = ms.meta.get(victim) {
-                                if vinfo.tier == decision.tier {
-                                    ms.meta
-                                        .evict_to(victim, ms.hierarchy.source_id())
-                                        .expect("evict");
-                                    tier.quota
-                                        .as_ref()
-                                        .expect("local tier quota")
-                                        .release(vinfo.size);
-                                    ms.transition(
-                                        now,
-                                        victim,
-                                        Transition::Evicted {
-                                            tier: decision.tier,
-                                            bytes: vinfo.size,
-                                            cause: TransitionCause::Policy,
-                                            reason: EVICT_TO_MAKE_ROOM,
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                        reserved = tier
-                            .quota
-                            .as_ref()
-                            .expect("local tier quota")
-                            .try_reserve(size);
-                    }
-                    if !reserved {
-                        ms.copy_enqueued.remove(&shard);
-                        ms.copy_flow.remove(&shard);
-                        ms.flow_start_pending.remove(&shard);
-                        Self::skip_or_requeue(ms, now, &name);
-                        // A parked reader must not wait on a copy that
-                        // will never land: fall back to reading through.
-                        ms.prefetch_issued.remove(&shard);
-                        ms.policy.unpin(&name);
-                        if let Some(stranded) = ms.waiting_readers.remove(&shard) {
-                            for &r in &stranded {
-                                ms.parked_at.remove(&r);
-                                self.readers[r].inflight = false;
-                            }
-                            for r in stranded {
-                                self.reader_advance(now, r);
-                            }
-                        }
-                        continue;
-                    }
-                    let queued_at = ms.copy_enqueued.remove(&shard);
-                    if let Some(at) = queued_at {
-                        let wait = vnanos(now - at);
-                        if prefetch_lane {
-                            ms.telemetry.queue_wait_prefetch().record(wait);
-                        } else {
-                            ms.telemetry.queue_wait().record(wait);
-                        }
-                    }
-                    ms.copy_started.insert(shard, now);
-                    ms.telemetry
-                        .event_at(vmicros(now), EventKind::CopyStarted { file: name.clone() });
-                    let tr = Arc::clone(ms.telemetry.trace());
-                    if tr.is_enabled() {
-                        if let Some(flow) = ms.copy_flow.remove(&shard) {
-                            let exec_id = tr.next_id();
-                            let tid = SIM_COPY_TRACK0 + (shard % ms.pool_threads) as u64;
-                            if let Some(at) = queued_at {
-                                tr.record(
-                                    SpanRecord::new(
-                                        names::QUEUE_WAIT,
-                                        "copy",
-                                        QUEUE_TRACK,
-                                        vmicros(at),
-                                        vmicros(now - at),
-                                    )
-                                    .with_id(tr.next_id())
-                                    .arg_str("file", name.clone()),
-                                );
-                            }
-                            let mut pd = SpanRecord::new(
-                                names::PLACEMENT_DECIDE,
-                                "copy",
-                                tid,
-                                vmicros(now),
-                                0,
-                            )
-                            .with_id(tr.next_id())
-                            .with_parent(exec_id);
-                            for (key, value) in decision.trace_args(&ms.hierarchy) {
-                                pd.args.push((key, value));
-                            }
-                            tr.record(pd);
-                            ms.copy_trace.insert(
-                                shard,
-                                CopyTrace {
-                                    flow,
-                                    exec_id,
-                                    tid,
-                                    write_started: SimTime::ZERO,
-                                },
-                            );
-                        }
-                    }
-                    {
-                        let quota = ms
-                            .hierarchy
-                            .tier(decision.tier)
-                            .expect("tier exists")
-                            .quota
-                            .as_ref()
-                            .expect("local tier quota");
-                        ms.telemetry.event_at(
-                            vmicros(now),
-                            EventKind::PlacementDecided {
-                                file: name.clone(),
-                                tier: decision.tier,
-                                used: quota.used(),
-                                capacity: quota.capacity(),
-                            },
-                        );
-                    }
-                    ms.copy_target.insert(shard, decision.tier);
-                    ms.idle_workers -= 1;
-                    let latency = self.sample_latency(self.lustre);
-                    let lustre = self.lustre;
-                    let share = self.bulk_share;
-                    let id = self.devs[lustre].ps.start_weighted(
-                        now,
-                        size,
-                        latency,
-                        Kind::Read,
-                        1.0,
-                        share,
-                    );
-                    self.purpose
-                        .insert((lustre, id.0), Purpose::CopyFetch { shard });
-                }
-                Ok(None) => {
-                    ms.copy_enqueued.remove(&shard);
-                    ms.copy_flow.remove(&shard);
-                    ms.flow_start_pending.remove(&shard);
-                    Self::skip_or_requeue(ms, now, &name);
-                    ms.prefetch_issued.remove(&shard);
-                    ms.policy.unpin(&name);
-                    if let Some(stranded) = ms.waiting_readers.remove(&shard) {
-                        for &r in &stranded {
-                            ms.parked_at.remove(&r);
-                            self.readers[r].inflight = false;
-                        }
-                        for r in stranded {
-                            self.reader_advance(now, r);
-                        }
-                    }
-                }
-                Err(_) => unreachable!("sim policies are infallible"),
+            let reserved = ms
+                .site()
+                .place_and_reserve(t_us, name, size)
+                .expect("sim policies are infallible");
+            let queued_at = ms.copy_enqueued.remove(&shard);
+            let worker_tid = SIM_COPY_TRACK0 + (shard % ms.pool_threads) as u64;
+            if let Some(record) = ms.copy_records.get_mut(&shard) {
+                record.worker_tid = worker_tid;
+                record.started_us = t_us;
+                record.decided_us = t_us;
+                record.placed = reserved;
             }
+            let Some(Reservation { tier, .. }) = reserved else {
+                ms.site().settle_unplaced(t_us, name);
+                ms.trace_settled(now, shard, name, "skipped");
+                // A parked reader must not wait on a copy that will never
+                // land: fall back to reading through.
+                ms.prefetch_issued.remove(&shard);
+                ms.policy.unpin(name);
+                let stranded = ms.waiting_readers.remove(&shard).unwrap_or_default();
+                for &r in &stranded {
+                    ms.parked_at.remove(&r);
+                    self.readers[r].inflight = false;
+                }
+                for r in stranded {
+                    self.reader_advance(now, r);
+                }
+                continue;
+            };
+            if let Some(at) = queued_at {
+                let wait = vnanos(now - at);
+                if lane == Lane::Prefetch {
+                    ms.telemetry.queue_wait_prefetch().record(wait);
+                } else {
+                    ms.telemetry.queue_wait().record(wait);
+                }
+            }
+            ms.copy_started.insert(shard, now);
+            let started = EventKind::CopyStarted { file: name.clone() };
+            ms.telemetry.event_at(t_us, started);
+            ms.copy_target.insert(shard, tier);
+            ms.idle_workers -= 1;
+            let latency = self.sample_latency(self.lustre);
+            let lustre = self.lustre;
+            let share = self.bulk_share;
+            let id =
+                self.devs[lustre]
+                    .ps
+                    .start_weighted(now, size, latency, Kind::Read, 1.0, share);
+            self.purpose
+                .insert((lustre, id.0), Purpose::CopyFetch { shard });
         }
     }
 
@@ -2227,9 +1954,29 @@ mod tests {
             PipelineConfig::default().with_seed(1),
             EnvConfig::congested_pfs(),
         );
-        let world = World::build(&trainer);
-        let telemetry = Arc::clone(&world.monarch.as_ref().expect("monarch").telemetry);
-        let _ = world.run(3);
+        let mut world = World::build(&trainer);
+        world.simulate(3);
+        let ms = world.monarch.as_ref().expect("monarch");
+        let telemetry = Arc::clone(&ms.telemetry);
+
+        // Every eviction released its victim's quota exactly once: each
+        // local tier's quota holds what is resident there plus the
+        // reservations of copies still in flight to it.
+        for tier in ms.hierarchy.local_tiers() {
+            let mut held = 0;
+            ms.meta.for_each(|_, info| {
+                if info.tier == tier.id && info.state == PlacementState::Placed {
+                    held += info.size;
+                }
+            });
+            for (&shard, &target) in &ms.copy_target {
+                if target == tier.id {
+                    held += world.geom.shards[shard].bytes;
+                }
+            }
+            let used = tier.quota.as_ref().expect("local quota").used();
+            assert_eq!(used, held, "quota of {} matches its residents", tier.name);
+        }
 
         let evictions = telemetry.stats().snapshot().evictions;
         assert!(evictions > 0, "a half-size tier under LRU must evict");

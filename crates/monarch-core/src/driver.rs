@@ -2,19 +2,18 @@
 //!
 //! A driver hides the backend behind a small object-safe trait so tiers can
 //! be backed by a real directory ([`PosixDriver`]), RAM ([`MemDriver`]), a
-//! fault-injecting wrapper ([`FaultyDriver`]) or — in the `dlpipe`
-//! simulation — a modelled device. Files are addressed by their *logical
+//! fault-scripting test wrapper (the [`testing`] module) or — in the
+//! `dlpipe` simulation — a modelled device. Files are addressed by their *logical
 //! name* (the dataset-relative path), mirroring the paper's `Monarch.read`
 //! which takes a filename rather than a file descriptor.
 
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::hash::FxHashMap;
 use crate::telemetry::LatencyHistogram;
@@ -348,315 +347,228 @@ impl StorageDriver for TimedDriver {
 }
 
 // ---------------------------------------------------------------------------
-// Gated driver (test support)
+// Test-support drivers
 // ---------------------------------------------------------------------------
 
-/// Shared latch that holds a [`GatedDriver`]'s full-file reads closed until
-/// [`open_gate`] is called.
-pub type Gate = Arc<(Mutex<bool>, Condvar)>;
+/// Wrappers that script faults and stalls around a real driver, for the
+/// unit, integration and chaos tests: [`testing::FlakyDriver`] fails
+/// operations from scripted sequences or an outage switch, and
+/// [`testing::GatedDriver`] holds background copies at a gate.
+pub mod testing {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
-/// Open `gate`, releasing every blocked and future `read_full` of the
-/// [`GatedDriver`] it came from.
-pub fn open_gate(gate: &Gate) {
-    let (lock, cv) = &**gate;
-    *lock.lock() = true;
-    cv.notify_all();
-}
+    use parking_lot::{Condvar, Mutex};
 
-/// Test-support wrapper whose `read_full` blocks until its [`Gate`] opens.
-///
-/// Background copies fetch the source through `read_full`, so pinning a
-/// worker inside one makes queueing, promotion, and cancellation behaviour
-/// deterministic: jobs pile up behind the blocked copy in a known order.
-/// Foreground `read_at` is deliberately *not* gated — reads keep being
-/// served from the source while the copy pipeline is wedged, exactly the
-/// degraded mode the middleware promises.
-pub struct GatedDriver<D> {
-    inner: D,
-    gate: Gate,
-}
+    use super::StorageDriver;
+    use crate::{Error, Result};
 
-impl<D: StorageDriver> GatedDriver<D> {
-    /// Wrap `inner` behind a closed gate; returns the driver and the gate
-    /// handle used to open it later.
-    #[must_use]
-    pub fn new(inner: D) -> (Self, Gate) {
-        let gate: Gate = Arc::new((Mutex::new(false), Condvar::new()));
-        (
+    /// Shared latch that holds a [`GatedDriver`]'s full-file reads closed until
+    /// [`open_gate`] is called.
+    pub type Gate = Arc<(Mutex<bool>, Condvar)>;
+
+    /// Open `gate`, releasing every blocked and future `read_full` of the
+    /// [`GatedDriver`] it came from.
+    pub fn open_gate(gate: &Gate) {
+        let (lock, cv) = &**gate;
+        *lock.lock() = true;
+        cv.notify_all();
+    }
+
+    /// Test-support wrapper whose `read_full` blocks until its [`Gate`] opens.
+    ///
+    /// Background copies fetch the source through `read_full`, so pinning a
+    /// worker inside one makes queueing, promotion, and cancellation behaviour
+    /// deterministic: jobs pile up behind the blocked copy in a known order.
+    /// Foreground `read_at` is deliberately *not* gated — reads keep being
+    /// served from the source while the copy pipeline is wedged, exactly the
+    /// degraded mode the middleware promises.
+    pub struct GatedDriver<D> {
+        inner: D,
+        gate: Gate,
+    }
+
+    impl<D: StorageDriver> GatedDriver<D> {
+        /// Wrap `inner` behind a closed gate; returns the driver and the gate
+        /// handle used to open it later.
+        #[must_use]
+        pub fn new(inner: D) -> (Self, Gate) {
+            let gate: Gate = Arc::new((Mutex::new(false), Condvar::new()));
+            (
+                Self {
+                    inner,
+                    gate: Arc::clone(&gate),
+                },
+                gate,
+            )
+        }
+    }
+
+    impl<D: StorageDriver> StorageDriver for GatedDriver<D> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
+            self.inner.read_at(file, offset, buf)
+        }
+
+        fn read_full(&self, file: &str) -> Result<Vec<u8>> {
+            let (lock, cv) = &*self.gate;
+            let mut open = lock.lock();
+            while !*open {
+                cv.wait(&mut open);
+            }
+            drop(open);
+            self.inner.read_full(file)
+        }
+
+        fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
+            self.inner.write_full(file, data)
+        }
+
+        fn remove(&self, file: &str) -> Result<()> {
+            self.inner.remove(file)
+        }
+
+        fn file_size(&self, file: &str) -> Result<u64> {
+            self.inner.file_size(file)
+        }
+
+        fn list(&self) -> Result<Vec<(String, u64)>> {
+            self.inner.list()
+        }
+    }
+
+    /// Outcome of one scripted [`FlakyDriver`] operation.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum FlakyOutcome {
+        /// Pass through to the inner driver.
+        Ok,
+        /// Fail with a transient I/O error (`TimedOut` — retried with backoff
+        /// by the health machinery).
+        Transient,
+        /// Fail with a permanent I/O error (`PermissionDenied` — quarantines
+        /// the tier).
+        Permanent,
+        /// Fail with `ENOSPC` (the install path's evict-and-retry trigger).
+        Enospc,
+    }
+
+    impl FlakyOutcome {
+        fn into_error(self, what: &str) -> Error {
+            match self {
+                FlakyOutcome::Ok => unreachable!("Ok outcomes never build errors"),
+                FlakyOutcome::Transient => Error::Io(std::io::Error::new(
+                    std::io::ErrorKind::TimedOut,
+                    format!("injected transient fault in {what}"),
+                )),
+                FlakyOutcome::Permanent => Error::Io(std::io::Error::new(
+                    std::io::ErrorKind::PermissionDenied,
+                    format!("injected permanent fault in {what}"),
+                )),
+                FlakyOutcome::Enospc => Error::Io(std::io::Error::from_raw_os_error(28)),
+            }
+        }
+    }
+
+    /// Test harness driver that fails operations from *scripted sequences*
+    /// and supports a shared outage switch that fails every data operation
+    /// while set — the building blocks for retry, quarantine, half-open-probe,
+    /// ENOSPC and failed-copy tests.
+    ///
+    /// Reads (`read_at`/`read_full`) consume the read script; `write_full`
+    /// consumes the write script. An exhausted script passes through.
+    pub struct FlakyDriver<D> {
+        inner: D,
+        reads: Mutex<std::collections::VecDeque<FlakyOutcome>>,
+        writes: Mutex<std::collections::VecDeque<FlakyOutcome>>,
+        outage: Arc<AtomicBool>,
+    }
+
+    impl<D: StorageDriver> FlakyDriver<D> {
+        /// Wrap `inner` with empty scripts and the outage switch off.
+        #[must_use]
+        pub fn new(inner: D) -> Self {
             Self {
                 inner,
-                gate: Arc::clone(&gate),
-            },
-            gate,
-        )
-    }
-}
-
-impl<D: StorageDriver> StorageDriver for GatedDriver<D> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        self.inner.read_at(file, offset, buf)
-    }
-
-    fn read_full(&self, file: &str) -> Result<Vec<u8>> {
-        let (lock, cv) = &*self.gate;
-        let mut open = lock.lock();
-        while !*open {
-            cv.wait(&mut open);
-        }
-        drop(open);
-        self.inner.read_full(file)
-    }
-
-    fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
-        self.inner.write_full(file, data)
-    }
-
-    fn remove(&self, file: &str) -> Result<()> {
-        self.inner.remove(file)
-    }
-
-    fn file_size(&self, file: &str) -> Result<u64> {
-        self.inner.file_size(file)
-    }
-
-    fn list(&self) -> Result<Vec<(String, u64)>> {
-        self.inner.list()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fault injection
-// ---------------------------------------------------------------------------
-
-/// Which operations a [`FaultyDriver`] should fail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Fail `read_at`/`read_full`.
-    Reads,
-    /// Fail `write_full`.
-    Writes,
-    /// Fail everything.
-    All,
-}
-
-/// Wrapper that fails the first `budget` matching operations — used to test
-/// that failed background copies leave metadata and quotas consistent.
-pub struct FaultyDriver<D> {
-    inner: D,
-    kind: FaultKind,
-    budget: AtomicU64,
-    injected: AtomicU64,
-}
-
-impl<D: StorageDriver> FaultyDriver<D> {
-    /// Fail the first `budget` operations of kind `kind`, then pass through.
-    #[must_use]
-    pub fn new(inner: D, kind: FaultKind, budget: u64) -> Self {
-        Self {
-            inner,
-            kind,
-            budget: AtomicU64::new(budget),
-            injected: AtomicU64::new(0),
-        }
-    }
-
-    /// How many faults have been injected so far.
-    #[must_use]
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    fn maybe_fail(&self, op: FaultKind, what: &str) -> Result<()> {
-        if self.kind != FaultKind::All && self.kind != op {
-            return Ok(());
-        }
-        let mut cur = self.budget.load(Ordering::Relaxed);
-        loop {
-            if cur == 0 {
-                return Ok(());
+                reads: Mutex::new(std::collections::VecDeque::new()),
+                writes: Mutex::new(std::collections::VecDeque::new()),
+                outage: Arc::new(AtomicBool::new(false)),
             }
-            match self.budget.compare_exchange_weak(
-                cur,
-                cur - 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    self.injected.fetch_add(1, Ordering::Relaxed);
-                    return Err(Error::Injected(format!("{what} on {}", self.inner.name())));
-                }
-                Err(actual) => cur = actual,
+        }
+
+        /// Append outcomes to the read script.
+        pub fn script_reads(&self, outcomes: impl IntoIterator<Item = FlakyOutcome>) {
+            self.reads.lock().extend(outcomes);
+        }
+
+        /// Append outcomes to the write script.
+        pub fn script_writes(&self, outcomes: impl IntoIterator<Item = FlakyOutcome>) {
+            self.writes.lock().extend(outcomes);
+        }
+
+        /// The shared outage switch: while `true`, every data operation fails
+        /// with a transient error (a tier-loss window).
+        #[must_use]
+        pub fn outage_switch(&self) -> Arc<AtomicBool> {
+            Arc::clone(&self.outage)
+        }
+
+        fn next(
+            &self,
+            script: &Mutex<std::collections::VecDeque<FlakyOutcome>>,
+            what: &str,
+        ) -> Result<()> {
+            if self.outage.load(Ordering::Acquire) {
+                return Err(FlakyOutcome::Transient.into_error(what));
+            }
+            match script.lock().pop_front() {
+                None | Some(FlakyOutcome::Ok) => Ok(()),
+                Some(fail) => Err(fail.into_error(what)),
             }
         }
     }
-}
 
-impl<D: StorageDriver> StorageDriver for FaultyDriver<D> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        self.maybe_fail(FaultKind::Reads, "read_at")?;
-        self.inner.read_at(file, offset, buf)
-    }
-
-    fn read_full(&self, file: &str) -> Result<Vec<u8>> {
-        self.maybe_fail(FaultKind::Reads, "read_full")?;
-        self.inner.read_full(file)
-    }
-
-    fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
-        self.maybe_fail(FaultKind::Writes, "write_full")?;
-        self.inner.write_full(file, data)
-    }
-
-    fn remove(&self, file: &str) -> Result<()> {
-        self.inner.remove(file)
-    }
-
-    fn file_size(&self, file: &str) -> Result<u64> {
-        self.inner.file_size(file)
-    }
-
-    fn list(&self) -> Result<Vec<(String, u64)>> {
-        self.inner.list()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scripted fault injection (health-machinery test harness)
-// ---------------------------------------------------------------------------
-
-/// Outcome of one scripted [`FlakyDriver`] operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlakyOutcome {
-    /// Pass through to the inner driver.
-    Ok,
-    /// Fail with a transient I/O error (`TimedOut` — retried with backoff
-    /// by the health machinery).
-    Transient,
-    /// Fail with a permanent I/O error (`PermissionDenied` — quarantines
-    /// the tier).
-    Permanent,
-    /// Fail with `ENOSPC` (the install path's evict-and-retry trigger).
-    Enospc,
-}
-
-impl FlakyOutcome {
-    fn into_error(self, what: &str) -> Error {
-        match self {
-            FlakyOutcome::Ok => unreachable!("Ok outcomes never build errors"),
-            FlakyOutcome::Transient => Error::Io(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                format!("injected transient fault in {what}"),
-            )),
-            FlakyOutcome::Permanent => Error::Io(std::io::Error::new(
-                std::io::ErrorKind::PermissionDenied,
-                format!("injected permanent fault in {what}"),
-            )),
-            FlakyOutcome::Enospc => Error::Io(std::io::Error::from_raw_os_error(28)),
+    impl<D: StorageDriver> StorageDriver for FlakyDriver<D> {
+        fn name(&self) -> &str {
+            self.inner.name()
         }
-    }
-}
 
-/// Test harness driver that fails operations from *scripted sequences*
-/// (unlike [`FaultyDriver`]'s single budget) and supports a shared outage
-/// switch that fails every data operation while set — the building blocks
-/// for retry, quarantine, half-open-probe, and ENOSPC tests.
-///
-/// Reads (`read_at`/`read_full`) consume the read script; `write_full`
-/// consumes the write script. An exhausted script passes through.
-pub struct FlakyDriver<D> {
-    inner: D,
-    reads: Mutex<std::collections::VecDeque<FlakyOutcome>>,
-    writes: Mutex<std::collections::VecDeque<FlakyOutcome>>,
-    outage: Arc<AtomicBool>,
-}
-
-impl<D: StorageDriver> FlakyDriver<D> {
-    /// Wrap `inner` with empty scripts and the outage switch off.
-    #[must_use]
-    pub fn new(inner: D) -> Self {
-        Self {
-            inner,
-            reads: Mutex::new(std::collections::VecDeque::new()),
-            writes: Mutex::new(std::collections::VecDeque::new()),
-            outage: Arc::new(AtomicBool::new(false)),
+        fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
+            self.next(&self.reads, "read_at")?;
+            self.inner.read_at(file, offset, buf)
         }
-    }
 
-    /// Append outcomes to the read script.
-    pub fn script_reads(&self, outcomes: impl IntoIterator<Item = FlakyOutcome>) {
-        self.reads.lock().extend(outcomes);
-    }
-
-    /// Append outcomes to the write script.
-    pub fn script_writes(&self, outcomes: impl IntoIterator<Item = FlakyOutcome>) {
-        self.writes.lock().extend(outcomes);
-    }
-
-    /// The shared outage switch: while `true`, every data operation fails
-    /// with a transient error (a tier-loss window).
-    #[must_use]
-    pub fn outage_switch(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.outage)
-    }
-
-    fn next(
-        &self,
-        script: &Mutex<std::collections::VecDeque<FlakyOutcome>>,
-        what: &str,
-    ) -> Result<()> {
-        if self.outage.load(Ordering::Acquire) {
-            return Err(FlakyOutcome::Transient.into_error(what));
+        fn read_full(&self, file: &str) -> Result<Vec<u8>> {
+            self.next(&self.reads, "read_full")?;
+            self.inner.read_full(file)
         }
-        match script.lock().pop_front() {
-            None | Some(FlakyOutcome::Ok) => Ok(()),
-            Some(fail) => Err(fail.into_error(what)),
+
+        fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
+            self.next(&self.writes, "write_full")?;
+            self.inner.write_full(file, data)
         }
-    }
-}
 
-impl<D: StorageDriver> StorageDriver for FlakyDriver<D> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
+        fn remove(&self, file: &str) -> Result<()> {
+            self.inner.remove(file)
+        }
 
-    fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        self.next(&self.reads, "read_at")?;
-        self.inner.read_at(file, offset, buf)
-    }
+        fn file_size(&self, file: &str) -> Result<u64> {
+            self.inner.file_size(file)
+        }
 
-    fn read_full(&self, file: &str) -> Result<Vec<u8>> {
-        self.next(&self.reads, "read_full")?;
-        self.inner.read_full(file)
-    }
-
-    fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
-        self.next(&self.writes, "write_full")?;
-        self.inner.write_full(file, data)
-    }
-
-    fn remove(&self, file: &str) -> Result<()> {
-        self.inner.remove(file)
-    }
-
-    fn file_size(&self, file: &str) -> Result<u64> {
-        self.inner.file_size(file)
-    }
-
-    fn list(&self) -> Result<Vec<(String, u64)>> {
-        self.inner.list()
+        fn list(&self) -> Result<Vec<(String, u64)>> {
+            self.inner.list()
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::Ordering;
+
+    use super::testing::{FlakyDriver, FlakyOutcome};
     use super::*;
 
     #[test]
@@ -729,28 +641,6 @@ mod tests {
             }
         }
         fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn faulty_driver_budget() {
-        let inner = MemDriver::new("m");
-        inner.insert("a", vec![0u8; 8]);
-        let d = FaultyDriver::new(inner, FaultKind::Writes, 2);
-        assert!(d.write_full("x", b"1").is_err());
-        assert!(d.write_full("x", b"1").is_err());
-        assert!(d.write_full("x", b"1").is_ok());
-        assert_eq!(d.injected(), 2);
-        // Reads unaffected by a Writes fault kind.
-        assert!(d.read_full("a").is_ok());
-    }
-
-    #[test]
-    fn faulty_driver_all_kind() {
-        let inner = MemDriver::new("m");
-        inner.insert("a", vec![0u8; 8]);
-        let d = FaultyDriver::new(inner, FaultKind::All, 1);
-        assert!(d.read_full("a").is_err());
-        assert!(d.read_full("a").is_ok());
     }
 
     #[test]

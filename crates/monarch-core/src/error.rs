@@ -25,8 +25,6 @@ pub enum Error {
     },
     /// The middleware has been shut down and no longer accepts work.
     ShutDown,
-    /// A fault injected by a test driver.
-    Injected(String),
 }
 
 impl std::fmt::Display for Error {
@@ -40,7 +38,6 @@ impl std::fmt::Display for Error {
                 write!(f, "read at {offset} past end of {file} ({size} bytes)")
             }
             Error::ShutDown => write!(f, "middleware already shut down"),
-            Error::Injected(msg) => write!(f, "injected fault: {msg}"),
         }
     }
 }

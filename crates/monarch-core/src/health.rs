@@ -23,6 +23,7 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 
+use crate::telemetry::TelemetryRegistry;
 use crate::{Error, TierId};
 
 /// How a driver failure should be handled.
@@ -71,25 +72,41 @@ pub fn classify(err: &Error) -> ErrorClass {
                 _ => ErrorClass::Transient,
             }
         }
-        // Test-injected faults are deliberate and final (the legacy
-        // `FaultyDriver` contract: no hidden retries).
-        Error::Injected(_) => ErrorClass::Permanent,
         _ => ErrorClass::Permanent,
     }
 }
 
 /// Classify `err` for the *tier health tracker*: `Some` only for real
 /// device I/O failures. Middleware-logic errors (unknown file, shutdown)
-/// and test-injected faults say nothing about the device's health, so they
-/// fail their operation without moving the state machine — the legacy
-/// `FaultyDriver` contract (one injected failure, next attempt succeeds)
-/// depends on this.
+/// say nothing about the device's health, so they fail their operation
+/// without moving the state machine.
 #[must_use]
 pub fn device_error_class(err: &Error) -> Option<ErrorClass> {
     match err {
         Error::Io(_) => Some(classify(err)),
         _ => None,
     }
+}
+
+/// Charge one device error of `class` to `tier`'s breaker at `t_us` (the
+/// registry clock in the real engine, virtual time in the simulator). When
+/// this error quarantined the tier, count and journal the quarantine with
+/// `reason`. Returns the tier's state afterwards.
+pub fn charge_device_error(
+    health: &HealthRegistry,
+    telemetry: &TelemetryRegistry,
+    tier: TierId,
+    class: ErrorClass,
+    t_us: u64,
+    reason: impl FnOnce() -> String,
+) -> TierState {
+    let (state, quarantined) = health
+        .tier(tier)
+        .record_error(class, &health.config(), t_us);
+    if quarantined {
+        telemetry.tier_quarantined(t_us, tier, reason());
+    }
+    state
 }
 
 /// Tunables for the health state machine and the retry policy.
@@ -459,12 +476,6 @@ impl HealthRegistry {
         self.tiers[tier].record_success(&self.config.read(), self.now_us());
     }
 
-    /// Record an error against `tier` at the registry clock; returns the
-    /// resulting state plus whether this call quarantined the tier.
-    pub fn record_error(&self, tier: TierId, class: ErrorClass) -> (TierState, bool) {
-        self.tiers[tier].record_error(class, &self.config.read(), self.now_us())
-    }
-
     /// True while any tier is quarantined.
     #[must_use]
     pub fn degraded(&self) -> bool {
@@ -561,16 +572,11 @@ mod tests {
         let c = Error::Io(IoError::from_raw_os_error(28));
         assert_eq!(classify(&c), ErrorClass::Capacity);
         assert_eq!(
-            classify(&Error::Injected("x".into())),
-            ErrorClass::Permanent
-        );
-        assert_eq!(
             classify(&Error::UnknownFile("f".into())),
             ErrorClass::Permanent
         );
         // Only real device I/O feeds the health tracker.
         assert_eq!(device_error_class(&t), Some(ErrorClass::Transient));
-        assert_eq!(device_error_class(&Error::Injected("x".into())), None);
         assert_eq!(device_error_class(&Error::ShutDown), None);
     }
 
@@ -662,7 +668,7 @@ mod tests {
     fn registry_snapshot_and_degraded() {
         let reg = HealthRegistry::new(vec!["ssd".into(), "pfs".into()]);
         assert!(!reg.degraded());
-        reg.record_error(0, ErrorClass::Permanent);
+        reg.tier(0).record_error(ErrorClass::Permanent, &cfg(), 0);
         assert!(reg.degraded());
         let snap = reg.snapshot();
         assert!(snap.degraded);

@@ -98,6 +98,6 @@ pub use telemetry::{
 };
 pub use trace::{ArgValue, FlowPhase, SpanRecord, TraceRecorder};
 pub use transfer::{
-    record_transition, DrainReport, GaugeSampler, LaneQueues, ReadCtx, ReadFeedback,
-    TransferEngine, Transition,
+    CopySite, DrainReport, GaugeSampler, LaneQueues, ReadCtx, ReadFeedback, TransferEngine,
+    Transition,
 };

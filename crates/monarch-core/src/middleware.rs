@@ -26,6 +26,7 @@ use std::time::{Duration, Instant};
 use crate::builder::MonarchBuilder;
 use crate::cluster::{Cluster, ClusterSnapshot, PeerError};
 use crate::config::MonarchConfig;
+use crate::health::charge_device_error;
 use crate::hierarchy::StorageHierarchy;
 use crate::metadata::{MetadataContainer, PlacementState};
 use crate::observe::ReadClass;
@@ -36,7 +37,7 @@ use crate::telemetry::{
     EventKind, Gauge, GaugeGuard, ReadOutcome, ReadSpan, TelemetryRegistry, TelemetrySnapshot,
 };
 use crate::trace::{names, SpanRecord};
-use crate::transfer::{GaugeSampler, ReadCtx, TransferEngine};
+use crate::transfer::{GaugeSampler, ReadCtx, TransferEngine, READS_IN_FLIGHT_GAUGE};
 use crate::{Error, Result};
 
 /// Outcome of the startup namespace scan.
@@ -91,11 +92,10 @@ impl Monarch {
         cluster: Option<Arc<Cluster>>,
     ) -> Self {
         let shutting_down = engine.shutdown_flag();
-        let reads_in_flight = telemetry.gauges().gauge(
-            "monarch_reads_in_flight",
-            "Read operations currently executing inside Monarch::read.",
-            &[],
-        );
+        let reads_in_flight =
+            telemetry
+                .gauges()
+                .gauge(READS_IN_FLIGHT_GAUGE.0, READS_IN_FLIGHT_GAUGE.1, &[]);
         Self {
             hierarchy,
             metadata,
@@ -223,8 +223,8 @@ impl Monarch {
                         continue;
                     }
                     let Some(class) = crate::health::device_error_class(&e) else {
-                        // Logic errors (unknown file, shutdown, injected
-                        // test faults) propagate untouched.
+                        // Logic errors (unknown file, shutdown) propagate
+                        // untouched.
                         return Err(e);
                     };
                     // An eviction race, not a device fault: the file left
@@ -241,12 +241,9 @@ impl Monarch {
                     {
                         continue;
                     }
-                    let (_, quarantined_now) = health.record_error(tier.id, class);
-                    if quarantined_now {
-                        let t_us = self.telemetry.now_micros();
-                        let reason = format!("read failed: {e}");
-                        self.telemetry.tier_quarantined(t_us, tier.id, reason);
-                    }
+                    let reason = || format!("read failed: {e}");
+                    let t_us = health.now_us();
+                    charge_device_error(&health, &self.telemetry, tier.id, class, t_us, reason);
                     if class == crate::health::ErrorClass::Transient
                         && attempts < retry.max_attempts
                     {

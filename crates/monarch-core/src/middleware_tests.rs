@@ -4,7 +4,8 @@
 use super::*;
 use crate::config::{AdmissionKind, PolicyKind};
 use crate::config::{TelemetryConfig, TierConfig};
-use crate::driver::{FaultKind, FaultyDriver, FlakyDriver, FlakyOutcome, MemDriver, StorageDriver};
+use crate::driver::testing::{FlakyDriver, FlakyOutcome};
+use crate::driver::{MemDriver, StorageDriver};
 use crate::health::HealthConfig;
 use crate::policy::{AdmitAll, NoEviction, PlacementScorer, PolicyEngine};
 
@@ -216,8 +217,18 @@ fn unknown_file_is_an_error() {
 fn failed_copy_releases_quota_and_reverts_state() {
     let pfs = MemDriver::new("pfs");
     pfs.insert("f", vec![7u8; 400]);
-    let ssd = FaultyDriver::new(MemDriver::new("ssd"), FaultKind::Writes, 1);
+    // One scripted write failure. The breaker gets no in-place retries
+    // and never trips, so the failure ends the copy (the scenario under
+    // test) instead of being retried away or quarantining the SSD.
+    let ssd = FlakyDriver::new(MemDriver::new("ssd"));
+    ssd.script_writes([FlakyOutcome::Transient]);
     let hierarchy = two_tier(Arc::new(ssd), 1000, Arc::new(pfs));
+    hierarchy.health().set_config(HealthConfig {
+        retry_max_attempts: 0,
+        consecutive_failure_limit: u32::MAX,
+        quarantine_threshold: 2.0,
+        ..HealthConfig::default()
+    });
     let m = MonarchBuilder::new()
         .hierarchy(hierarchy)
         .pool_threads(1)
@@ -245,7 +256,7 @@ fn failed_copy_releases_quota_and_reverts_state() {
         "file must stay on the PFS after a failed copy"
     );
     assert_eq!(info.state, PlacementState::Unplaced);
-    // A later read retries and succeeds (fault budget exhausted).
+    // A later read retries and succeeds (fault script exhausted).
     m.read("f", 0, &mut buf).unwrap();
     m.wait_placement_idle();
     assert_eq!(m.stats().copies_completed, 1);

@@ -11,7 +11,7 @@
 //! 2. [`ResidencyTimeline`] (`timeline`) — a bounded event log of tier
 //!    transitions (admitted/promoted/evicted/canceled with cause),
 //!    reconstructable into "where did file X live between t0 and t1",
-//!    fed by [`crate::transfer::record_transition`];
+//!    fed by [`crate::transfer::CopySite::transition`];
 //! 3. [`ObserveReport`] (`report`) — the per-epoch roll-up: wall time
 //!    attributed to pfs-bound / copy-lane-saturated / prefetch-lag /
 //!    lock-or-queue / compute-bound, plus top-K hot and wasted

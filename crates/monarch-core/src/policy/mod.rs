@@ -144,29 +144,6 @@ pub struct PlacementDecision {
     pub evict: Vec<String>,
 }
 
-impl PlacementDecision {
-    /// Span attributes describing this decision: the destination tier (id
-    /// and name), its remaining free quota at decision time, and how many
-    /// evictions the decision requires — what a `placement_decide` span
-    /// shows in the trace viewer.
-    #[must_use]
-    pub fn trace_args(
-        &self,
-        hierarchy: &StorageHierarchy,
-    ) -> Vec<(&'static str, crate::trace::ArgValue)> {
-        use crate::trace::ArgValue;
-        let mut args = vec![("tier_id", ArgValue::U64(self.tier as u64))];
-        if let Ok(tier) = hierarchy.tier(self.tier) {
-            args.push(("tier", ArgValue::Str(tier.name.clone())));
-            if let Some(quota) = &tier.quota {
-                args.push(("free_bytes", ArgValue::U64(quota.free())));
-            }
-        }
-        args.push(("evictions", ArgValue::U64(self.evict.len() as u64)));
-        args
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The trait family
 // ---------------------------------------------------------------------------
@@ -671,20 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_args_describe_the_decision() {
-        use crate::trace::ArgValue;
-        let h = hierarchy(&[100, 100]);
-        let p = engine(PolicyKind::FirstFit);
-        let d = p.place(&h, "a", 60).unwrap().unwrap();
-        let args = d.trace_args(&h);
-        assert!(args.contains(&("tier_id", ArgValue::U64(0))));
-        assert!(args.contains(&("tier", ArgValue::Str("t0".into()))));
-        // place() already reserved the 60 bytes, so 40 remain free.
-        assert!(args.contains(&("free_bytes", ArgValue::U64(40))));
-        assert!(args.contains(&("evictions", ArgValue::U64(0))));
-    }
-
-    #[test]
     fn first_fit_prefers_top_tier_and_never_evicts() {
         let h = hierarchy(&[100, 100]);
         let p = engine(PolicyKind::FirstFit);
@@ -766,7 +729,13 @@ mod tests {
     fn quarantined_tier_is_skipped_even_for_eviction() {
         use crate::health::ErrorClass;
         let h = hierarchy(&[100, 100]);
-        h.health().record_error(0, ErrorClass::Permanent);
+        let quarantine = |h: &StorageHierarchy| {
+            let cfg = h.health().config();
+            h.health()
+                .tier(0)
+                .record_error(ErrorClass::Permanent, &cfg, 0);
+        };
+        quarantine(&h);
         assert!(h.health().tier(0).is_quarantined());
 
         let ff = engine(PolicyKind::FirstFit);
@@ -776,7 +745,7 @@ mod tests {
         // Fresh hierarchy (same quarantine) for the eviction half — the
         // first-fit probe above left its reservation on tier 1.
         let h = hierarchy(&[100, 100]);
-        h.health().record_error(0, ErrorClass::Permanent);
+        quarantine(&h);
         let lru = engine(PolicyKind::LruEvict);
         // Fill tier 1 so eviction would be the only way in.
         let d = lru.place(&h, "big", 100).unwrap().unwrap();

@@ -574,9 +574,9 @@ mod tests {
         let addr = m.serve("127.0.0.1:0").unwrap();
         assert_eq!(get_path(addr, "/healthz").1, "ok\n");
         // A permanent device error quarantines the tier instantly.
-        m.hierarchy()
-            .health()
-            .record_error(0, crate::health::ErrorClass::Permanent);
+        let health = m.hierarchy().health();
+        let permanent = crate::health::ErrorClass::Permanent;
+        health.tier(0).record_error(permanent, &health.config(), 0);
         assert_eq!(get_path(addr, "/healthz").1, "degraded\n");
         // The snapshot carries the health section with the quarantined tier.
         let (status, body) = get_path(addr, "/snapshot");

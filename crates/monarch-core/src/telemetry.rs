@@ -44,7 +44,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::observe::ReadClass;
 use crate::stats::Stats;
-use crate::trace::{names, FlowPhase, SpanRecord};
+use crate::trace::{names, FlowPhase, SpanRecord, QUEUE_TRACK};
+use crate::transfer::Reservation;
 use crate::TierId;
 
 // ---------------------------------------------------------------------------
@@ -1288,6 +1289,46 @@ pub struct ReadSpan {
     pub prefetch_flow: u64,
 }
 
+/// The stage instants of one traced background copy — the copy-side
+/// counterpart of [`ReadOutcome`]. Whoever runs the copy fills it in, the
+/// real engine from the registry clock and the simulator from virtual
+/// time; [`TelemetryRegistry::record_copy_scheduled`] and
+/// [`TelemetryRegistry::record_copy`] turn it into the copy's span tree.
+/// Untraced copies never build one, so they read no extra clock.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CopyRecord {
+    /// Flow linking the copy to what queued it; `copy_exec` finishes it.
+    pub flow: u64,
+    /// The scheduling span starts the flow itself (no foreground pread
+    /// carries it: pre-staging and prefetch).
+    pub start_flow: bool,
+    /// Queued by the access plan (`prefetch_scheduled`, not
+    /// `copy_scheduled`).
+    pub prefetch: bool,
+    /// Track of the operation that queued the copy.
+    pub scheduler_tid: u64,
+    /// Enclosing span of the scheduling span (`0` = root).
+    pub parent: u64,
+    /// Track of the worker that ran the copy.
+    pub worker_tid: u64,
+    /// The copy was queued.
+    pub queued_us: u64,
+    /// A worker picked it up: `copy_exec` and `placement_decide` begin.
+    pub started_us: u64,
+    /// The destination was picked and room reserved (or refused).
+    pub decided_us: u64,
+    /// The reservation; `None` when no tier had room.
+    pub placed: Option<Reservation>,
+    /// The source fetch landed (`None`: inline bytes, or never fetched).
+    pub fetched_us: Option<u64>,
+    /// The destination write landed.
+    pub written_us: Option<u64>,
+    /// The copy settled; `copy_exec` ends.
+    pub ended_us: u64,
+    /// `completed`, `skipped` or `failed`.
+    pub outcome: &'static str,
+}
+
 /// Serializable summary of a [`StallProfile`] — the `stall_profile` section
 /// of the JSON snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -1597,6 +1638,102 @@ impl TelemetryRegistry {
             read = read.arg_u64("prefetch_flow", s.prefetch_flow);
         }
         tr.record(read);
+    }
+
+    /// The scheduling span of one traced copy: `copy_scheduled`, or
+    /// `prefetch_scheduled` for a plan copy, at the instant it was queued.
+    pub fn record_copy_scheduled(&self, file: &str, bytes: u64, r: &CopyRecord) {
+        let name = if r.prefetch {
+            names::PREFETCH_SCHEDULED
+        } else {
+            names::COPY_SCHEDULED
+        };
+        let tr = &self.trace;
+        let span = SpanRecord::new(name, "copy", r.scheduler_tid, r.queued_us, 0)
+            .with_id(tr.next_id())
+            .with_parent(r.parent)
+            .arg_str("file", file)
+            .arg_u64("bytes", bytes);
+        // `with_flow` makes the exporter emit the `flow` arg itself, so
+        // only the non-starting variant adds it explicitly.
+        tr.record(if r.start_flow {
+            span.with_flow(r.flow, FlowPhase::Start)
+        } else {
+            span.arg_u64("flow", r.flow)
+        });
+    }
+
+    /// The execution span tree of one traced copy: `queue_wait` on the
+    /// queue track, then `copy_exec` (finishing the copy's flow) with
+    /// `placement_decide` / `copy_read` / `copy_write` /
+    /// `metadata_register` children cut at the record's stage instants.
+    pub fn record_copy(&self, file: &str, bytes: u64, policy: &str, r: &CopyRecord) {
+        let tr = &self.trace;
+        let tier_name = |tier: TierId| self.tier_names.get(tier).map_or("", String::as_str);
+        let exec_id = tr.next_id();
+        let child = |name, from: u64, to: u64| {
+            SpanRecord::new(name, "copy", r.worker_tid, from, to.saturating_sub(from))
+                .with_id(tr.next_id())
+                .with_parent(exec_id)
+        };
+        tr.record(
+            SpanRecord::new(
+                names::QUEUE_WAIT,
+                "copy",
+                QUEUE_TRACK,
+                r.queued_us,
+                r.started_us.saturating_sub(r.queued_us),
+            )
+            .with_id(tr.next_id())
+            .arg_str("file", file),
+        );
+        let decide =
+            child(names::PLACEMENT_DECIDE, r.started_us, r.decided_us).arg_str("policy", policy);
+        tr.record(match r.placed {
+            Some(p) => decide
+                .arg_u64("tier_id", p.tier as u64)
+                .arg_str("tier", tier_name(p.tier))
+                .arg_u64("free_bytes", p.free_bytes)
+                .arg_u64("evictions", p.evictions as u64),
+            None => decide.arg_str("tier", "none"),
+        });
+        let mut at = r.decided_us;
+        if let Some(fetched) = r.fetched_us {
+            let source = self.tier_names.len().saturating_sub(1);
+            tr.record(
+                child(names::COPY_READ, at, fetched)
+                    .arg_str("tier", tier_name(source))
+                    .arg_u64("bytes", bytes),
+            );
+            at = fetched;
+        }
+        if let (Some(written), Some(p)) = (r.written_us, r.placed) {
+            tr.record(
+                child(names::COPY_WRITE, at, written)
+                    .arg_str("tier", tier_name(p.tier))
+                    .arg_u64("bytes", bytes),
+            );
+            if r.outcome == "completed" {
+                tr.record(
+                    child(names::METADATA_REGISTER, written, r.ended_us)
+                        .arg_str("tier", tier_name(p.tier)),
+                );
+            }
+        }
+        tr.record(
+            SpanRecord::new(
+                names::COPY_EXEC,
+                "copy",
+                r.worker_tid,
+                r.started_us,
+                r.ended_us.saturating_sub(r.started_us),
+            )
+            .with_id(exec_id)
+            .with_flow(r.flow, FlowPhase::Finish)
+            .arg_str("file", file)
+            .arg_u64("bytes", bytes)
+            .arg_str("outcome", r.outcome),
+        );
     }
 
     /// Immutable snapshot of every histogram plus the counters.
@@ -2317,6 +2454,101 @@ mod tests {
             Arc::new(Stats::new(2)),
             &TelemetryConfig::default(),
         )
+    }
+
+    #[test]
+    fn copy_record_fans_out_one_span_tree() {
+        use crate::trace::{ArgValue, QUEUE_TRACK};
+        use crate::transfer::Reservation;
+        let traced = || {
+            TelemetryRegistry::new(
+                vec!["ssd".into(), "pfs".into()],
+                Arc::new(Stats::new(2)),
+                &TelemetryConfig::with_tracing(),
+            )
+        };
+        let r = traced();
+        let queued = CopyRecord {
+            flow: 7,
+            scheduler_tid: 3,
+            parent: 5,
+            queued_us: 10,
+            ..CopyRecord::default()
+        };
+        r.record_copy_scheduled("f", 100, &queued);
+        let placed = Reservation {
+            tier: 0,
+            evictions: 1,
+            free_bytes: 40,
+        };
+        let done = CopyRecord {
+            worker_tid: 9,
+            started_us: 20,
+            decided_us: 25,
+            placed: Some(placed),
+            fetched_us: Some(30),
+            written_us: Some(40),
+            ended_us: 45,
+            outcome: "completed",
+            ..queued
+        };
+        r.record_copy("f", 100, "admit_all/none/first_fit", &done);
+        let spans = r.trace().spans();
+        let span = |name: &str| spans.iter().find(|s| s.name == name).expect(name);
+        let sched = span(names::COPY_SCHEDULED);
+        assert_eq!((sched.tid, sched.ts_us, sched.parent), (3, 10, 5));
+        assert!(sched.args.contains(&("flow", ArgValue::U64(7))));
+        let wait = span(names::QUEUE_WAIT);
+        assert_eq!((wait.tid, wait.ts_us, wait.dur_us), (QUEUE_TRACK, 10, 10));
+        let exec = span(names::COPY_EXEC);
+        assert_eq!((exec.tid, exec.ts_us, exec.dur_us), (9, 20, 25));
+        assert_eq!((exec.flow, exec.flow_phase), (7, FlowPhase::Finish));
+        assert!(exec
+            .args
+            .contains(&("outcome", ArgValue::Str("completed".into()))));
+        // Children tile the execution at the record's stage instants.
+        let stages = [
+            (names::PLACEMENT_DECIDE, 20, 5, "ssd"),
+            (names::COPY_READ, 25, 5, "pfs"),
+            (names::COPY_WRITE, 30, 10, "ssd"),
+            (names::METADATA_REGISTER, 40, 5, "ssd"),
+        ];
+        for (name, ts, dur, tier) in stages {
+            let s = span(name);
+            assert_eq!(
+                (s.parent, s.tid, s.ts_us, s.dur_us),
+                (exec.id, 9, ts, dur),
+                "{name}"
+            );
+            assert!(
+                s.args.contains(&("tier", ArgValue::Str(tier.into()))),
+                "{name}"
+            );
+        }
+        let decide = span(names::PLACEMENT_DECIDE);
+        assert!(decide.args.contains(&("free_bytes", ArgValue::U64(40))));
+        assert!(decide.args.contains(&("evictions", ArgValue::U64(1))));
+
+        // A copy that found no room records only its decision.
+        let skipped = CopyRecord {
+            placed: None,
+            fetched_us: None,
+            written_us: None,
+            outcome: "skipped",
+            ..done
+        };
+        let r = traced();
+        r.record_copy("g", 100, "admit_all/none/first_fit", &skipped);
+        let spans = r.trace().spans();
+        let mut tree: Vec<_> = spans.iter().map(|s| s.name).collect();
+        tree.sort_unstable();
+        assert_eq!(
+            tree,
+            [names::COPY_EXEC, names::PLACEMENT_DECIDE, names::QUEUE_WAIT]
+        );
+        let decide = spans.iter().find(|s| s.name == names::PLACEMENT_DECIDE);
+        let none = ("tier", ArgValue::Str("none".into()));
+        assert!(decide.is_some_and(|s| s.args.contains(&none)));
     }
 
     #[test]

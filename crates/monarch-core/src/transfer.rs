@@ -19,9 +19,9 @@
 //! The same lane discipline (demand first, promote-on-demand, bulk cancel)
 //! is captured by the generic [`LaneQueues`], shared between the real pool
 //! and the `dlpipe` discrete-event simulator so both backends run one copy
-//! pipeline rather than two hand-maintained replicas. Likewise every
-//! placement transition either backend performs is recorded by one
-//! [`record_transition`] call.
+//! pipeline rather than two hand-maintained replicas. Likewise both
+//! backends admit, place, evict and record every copy through one
+//! [`CopySite`], and publish their gauges through one [`publish_gauges`].
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::health::{device_error_class, ErrorClass, TierState};
+use crate::health::{charge_device_error, device_error_class, ErrorClass, TierState};
 use crate::hierarchy::{StorageHierarchy, TierId};
 use crate::metadata::{FileInfo, MetadataContainer, PlacementState};
 use crate::observe::{ResidencyEventKind, TransitionCause};
@@ -38,8 +38,8 @@ use crate::policy::{DecisionPoint, FeatureSource, PolicyEngine, PolicySnapshot};
 use crate::pool::{Lane, PoolProbe, TaskCtx, ThreadPool};
 use crate::prefetch::{AccessPlan, PrefetchConfig, PrefetchWindow};
 use crate::stats::Stats;
-use crate::telemetry::{EventKind, TelemetryRegistry};
-use crate::trace::{names, FlowPhase, SpanRecord, QUEUE_TRACK};
+use crate::telemetry::{CopyRecord, EventKind, TelemetryRegistry};
+use crate::trace::{names, SpanRecord};
 use crate::{Error, Result};
 
 // ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ impl<T> LaneQueues<T> {
 /// One placement transition of a file: a copy queued, landed, requeued,
 /// withdrawn or skipped, a queued prefetch promoted, or a resident
 /// evicted. The real engine and the `dlpipe` simulator both report theirs
-/// through [`record_transition`], so a transition reads the same in every
+/// through [`CopySite::transition`], so a transition reads the same in every
 /// view and in both backends.
 #[derive(Debug, Clone, Copy)]
 pub enum Transition<'a> {
@@ -221,169 +221,417 @@ pub const EVICT_TO_MAKE_ROOM: &str =
 /// The peer-cache residency feed: the cluster view and this node's id.
 pub type ClusterFeed = (Arc<crate::cluster::ClusterView>, usize);
 
-/// Record one placement transition of `file` at `t_us` everywhere it is
-/// tracked: the [`Stats`] counters, the event journal (with the policy
-/// verdict for an eviction), the residency timeline, the policy's
-/// eviction book, and the peer-cache view for admissions and evictions
-/// when `cluster` is set.
-pub fn record_transition(
-    telemetry: &TelemetryRegistry,
-    policy: &PolicyEngine,
-    cluster: Option<&ClusterFeed>,
-    t_us: u64,
-    file: &str,
-    transition: Transition<'_>,
-) {
-    use ResidencyEventKind as Kind;
-    let stats = telemetry.stats();
-    // Each arm updates its counters and yields the journal event plus the
-    // residency-timeline entry, if the transition has one.
-    let (event, residency) = match transition {
-        Transition::Scheduled { bytes, prefetch } => {
-            stats.copy_scheduled();
-            let file = file.to_string();
-            let event = if prefetch {
-                stats.prefetch_scheduled();
-                EventKind::PrefetchScheduled { file, bytes }
-            } else {
-                EventKind::CopyScheduled { file, bytes }
-            };
-            (event, None)
-        }
-        Transition::Admitted {
-            tier,
-            bytes,
-            cause,
-            copy_ns,
-        } => {
-            stats.copy_completed();
-            if let Some(ns) = copy_ns.filter(|_| telemetry.is_enabled()) {
-                telemetry.copy_duration().record(ns);
+// ---------------------------------------------------------------------------
+// The copy lifecycle — the clock-free steps the engine and the sim share
+// ---------------------------------------------------------------------------
+
+/// Journal reason of a copy requeued because a quarantined tier left it
+/// without room.
+pub const UNPLACED_WHILE_QUARANTINED: &str = "placement skipped while a tier is quarantined";
+
+/// The room a copy reserved: its destination tier, the residents evicted
+/// to make room, and the tier's free quota after the reservation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reservation {
+    /// Destination tier; the copy's size is reserved on its quota.
+    pub tier: TierId,
+    /// Residents evicted to make room.
+    pub evictions: usize,
+    /// Free quota left on `tier` after the reservation.
+    pub free_bytes: u64,
+}
+
+/// The node state every step of a copy's life touches, borrowed from the
+/// real engine or the simulator. Each step takes the caller's clock
+/// reading (`t_us`: wall time in the engine, virtual time in the sim) and
+/// leaves I/O, retries and error handling to the caller, so both backends
+/// admit, place, evict and record every copy the same way.
+#[derive(Clone, Copy)]
+pub struct CopySite<'a> {
+    /// Tiers, drivers and quotas.
+    pub hierarchy: &'a StorageHierarchy,
+    /// Residency of every file.
+    pub metadata: &'a MetadataContainer,
+    /// The composed placement policy.
+    pub policy: &'a PolicyEngine,
+    /// Counters, journal, timeline and trace.
+    pub telemetry: &'a TelemetryRegistry,
+    /// Peer-cache residency feed, when a cluster is configured.
+    pub cluster: Option<&'a ClusterFeed>,
+}
+
+impl CopySite<'_> {
+    /// Record one placement transition of `file` at `t_us` everywhere it
+    /// is tracked: the [`Stats`] counters, the event journal (with the
+    /// policy verdict for an eviction), the residency timeline, the
+    /// policy's eviction book, and the peer-cache view for admissions and
+    /// evictions when a cluster feed is set.
+    pub fn transition(&self, t_us: u64, file: &str, transition: Transition<'_>) {
+        use ResidencyEventKind as Kind;
+        let stats = self.telemetry.stats();
+        // Each arm updates its counters and yields the journal event plus the
+        // residency-timeline entry, if the transition has one.
+        let (event, residency) = match transition {
+            Transition::Scheduled { bytes, prefetch } => {
+                stats.copy_scheduled();
+                let file = file.to_string();
+                let event = if prefetch {
+                    stats.prefetch_scheduled();
+                    EventKind::PrefetchScheduled { file, bytes }
+                } else {
+                    EventKind::CopyScheduled { file, bytes }
+                };
+                (event, None)
             }
-            if let Some((view, node)) = cluster {
-                view.note_admitted(file, *node);
-            }
-            let event = EventKind::CopyCompleted {
-                file: file.to_string(),
+            Transition::Admitted {
                 tier,
                 bytes,
-                micros: copy_ns.map_or(0, |ns| ns / 1_000),
-            };
-            (event, Some((tier, Kind::Admitted, cause)))
+                cause,
+                copy_ns,
+            } => {
+                stats.copy_completed();
+                if let Some(ns) = copy_ns.filter(|_| self.telemetry.is_enabled()) {
+                    self.telemetry.copy_duration().record(ns);
+                }
+                if let Some((view, node)) = self.cluster {
+                    view.note_admitted(file, *node);
+                }
+                let event = EventKind::CopyCompleted {
+                    file: file.to_string(),
+                    tier,
+                    bytes,
+                    micros: copy_ns.map_or(0, |ns| ns / 1_000),
+                };
+                (event, Some((tier, Kind::Admitted, cause)))
+            }
+            Transition::Promoted { tier } => {
+                stats.prefetch_promote();
+                let event = EventKind::PrefetchPromoted {
+                    file: file.to_string(),
+                };
+                (event, Some((tier, Kind::Promoted, TransitionCause::Demand)))
+            }
+            Transition::Evicted {
+                tier,
+                bytes,
+                cause,
+                reason,
+            } => {
+                stats.record_evict(tier);
+                self.policy.on_evicted(file);
+                let point = if cause == TransitionCause::Eviction {
+                    DecisionPoint::PlanEvict
+                } else {
+                    DecisionPoint::PressureEvict
+                };
+                self.journal_policy(t_us, file, point, "evict", reason);
+                if let Some((view, node)) = self.cluster {
+                    view.note_evicted(file, *node);
+                }
+                let event = EventKind::Evicted {
+                    file: file.to_string(),
+                    tier,
+                    bytes,
+                };
+                (event, Some((tier, Kind::Evicted, cause)))
+            }
+            Transition::Withdrawn { tier, cause } => {
+                stats.prefetch_cancel();
+                let event = EventKind::PrefetchCanceled {
+                    file: file.to_string(),
+                };
+                (event, Some((tier, Kind::Canceled, cause)))
+            }
+            Transition::Requeued { tier, reason } => {
+                stats.copy_requeue();
+                let event = EventKind::CopyRequeued {
+                    file: file.to_string(),
+                    reason: reason.to_string(),
+                };
+                let residency = tier.map(|tier| (tier, Kind::Canceled, TransitionCause::Demand));
+                (event, residency)
+            }
+            Transition::Skipped => {
+                stats.placement_skip();
+                let event = EventKind::PlacementSkipped {
+                    file: file.to_string(),
+                    reason: "no local tier had room".to_string(),
+                };
+                (event, None)
+            }
+        };
+        self.telemetry.event_at(t_us, event);
+        if let Some((tier, kind, cause)) = residency {
+            let timeline = self.telemetry.observe().timeline();
+            timeline.record_at(t_us, file, tier, kind, cause);
         }
-        Transition::Promoted { tier } => {
-            stats.prefetch_promote();
-            let event = EventKind::PrefetchPromoted {
-                file: file.to_string(),
-            };
-            (event, Some((tier, Kind::Promoted, TransitionCause::Demand)))
+    }
+
+    /// Ask the admission gate whether a copy of `file` is worth its
+    /// bandwidth at `point`, journal the verdict, and count a denial.
+    pub fn admit(&self, t_us: u64, file: &str, bytes: u64, point: DecisionPoint) -> bool {
+        let admitted = self.policy.admit(file, bytes, point);
+        let (verdict, reason) = match (admitted, point) {
+            (true, DecisionPoint::DemandAdmit) => {
+                ("admit", "demand miss admitted to the copy pipeline")
+            }
+            (true, _) => ("admit", "plan entry admitted to the prefetch lane"),
+            (false, DecisionPoint::DemandAdmit) => (
+                "deny",
+                "admission policy refused the copy; the file stays on the PFS",
+            ),
+            (false, _) => ("deny", "admission policy refused the speculative copy"),
+        };
+        if !admitted {
+            self.telemetry.stats().policy_denial();
         }
-        Transition::Evicted {
+        self.journal_policy(t_us, file, point, verdict, reason);
+        admitted
+    }
+
+    /// Journal one policy verdict with its decision point and cause.
+    fn journal_policy(
+        &self,
+        t_us: u64,
+        file: &str,
+        point: DecisionPoint,
+        verdict: &str,
+        reason: &str,
+    ) {
+        let decision = EventKind::PolicyDecision {
+            file: file.to_string(),
+            point: point.as_str().to_string(),
+            policy: self.policy.name().to_string(),
+            verdict: verdict.to_string(),
+            reason: reason.to_string(),
+        };
+        self.telemetry.event_at(t_us, decision);
+    }
+
+    /// Evict `file` (`bytes` resident on `tier`) back to the PFS. The
+    /// metadata flips first, so a reader racing the unlink re-resolves to
+    /// the source; then the copy is unlinked, its quota released and the
+    /// transition recorded. A copy that is already missing counts as
+    /// unlinked (the simulator's tiers hold no bytes). Any other unlink
+    /// error is returned after the eviction is recorded: the file has left
+    /// the tier either way.
+    pub fn evict(
+        &self,
+        t_us: u64,
+        file: &str,
+        tier: TierId,
+        bytes: u64,
+        cause: TransitionCause,
+        reason: &str,
+    ) -> Result<()> {
+        let local = self.hierarchy.tier(tier)?;
+        self.metadata.evict_to(file, self.hierarchy.source_id())?;
+        let unlinked = match local.driver.remove(file) {
+            Err(Error::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+            other => other,
+        };
+        if let Some(quota) = local.quota.as_ref() {
+            quota.release(bytes);
+        }
+        let evicted = Transition::Evicted {
             tier,
             bytes,
             cause,
             reason,
-        } => {
-            stats.record_evict(tier);
-            policy.on_evicted(file);
-            let point = if cause == TransitionCause::Eviction {
-                DecisionPoint::PlanEvict
-            } else {
-                DecisionPoint::PressureEvict
-            };
-            journal_policy(telemetry, policy, t_us, file, point, "evict", reason);
-            if let Some((view, node)) = cluster {
-                view.note_evicted(file, *node);
+        };
+        self.transition(t_us, file, evicted);
+        unlinked
+    }
+
+    /// Pick `file`'s destination and reserve room there: ask the policy,
+    /// evict the victims it names, reserve the quota, and journal the
+    /// `placement_decided` event. `Ok(None)`: no tier had room.
+    pub fn place_and_reserve(
+        &self,
+        t_us: u64,
+        file: &str,
+        size: u64,
+    ) -> Result<Option<Reservation>> {
+        let Some(decision) = self.policy.place(self.hierarchy, file, size)? else {
+            return Ok(None);
+        };
+        let tier = decision.tier;
+        let quota = self
+            .hierarchy
+            .tier(tier)?
+            .quota
+            .as_ref()
+            .ok_or(Error::UnknownTier(tier))?;
+        // Without victims `place` already reserved; with them, room is
+        // reserved only once the victims are gone.
+        if !decision.evict.is_empty() {
+            for victim in &decision.evict {
+                if let Some(vinfo) = self.metadata.get(victim).filter(|v| v.tier == tier) {
+                    let cause = TransitionCause::Policy;
+                    self.evict(t_us, victim, tier, vinfo.size, cause, EVICT_TO_MAKE_ROOM)?;
+                }
             }
-            let event = EventKind::Evicted {
-                file: file.to_string(),
-                tier,
-                bytes,
-            };
-            (event, Some((tier, Kind::Evicted, cause)))
+            if !quota.try_reserve(size) {
+                return Ok(None);
+            }
         }
-        Transition::Withdrawn { tier, cause } => {
-            stats.prefetch_cancel();
-            let event = EventKind::PrefetchCanceled {
-                file: file.to_string(),
-            };
-            (event, Some((tier, Kind::Canceled, cause)))
-        }
-        Transition::Requeued { tier, reason } => {
-            stats.copy_requeue();
-            let event = EventKind::CopyRequeued {
-                file: file.to_string(),
-                reason: reason.to_string(),
-            };
-            let residency = tier.map(|tier| (tier, Kind::Canceled, TransitionCause::Demand));
-            (event, residency)
-        }
-        Transition::Skipped => {
-            stats.placement_skip();
-            let event = EventKind::PlacementSkipped {
-                file: file.to_string(),
-                reason: "no local tier had room".to_string(),
-            };
-            (event, None)
-        }
-    };
-    telemetry.event_at(t_us, event);
-    if let Some((tier, kind, cause)) = residency {
-        let timeline = telemetry.observe().timeline();
-        timeline.record_at(t_us, file, tier, kind, cause);
+        self.placement_decided(t_us, file, tier);
+        Ok(Some(Reservation {
+            tier,
+            evictions: decision.evict.len(),
+            free_bytes: quota.free(),
+        }))
     }
-}
 
-/// Ask the admission gate whether a copy of `file` is worth its bandwidth
-/// at `point`, journal the verdict, and count a denial. Shared by the real
-/// engine and the simulator.
-pub fn admit_copy(
-    telemetry: &TelemetryRegistry,
-    policy: &PolicyEngine,
-    t_us: u64,
-    file: &str,
-    bytes: u64,
-    point: DecisionPoint,
-) -> bool {
-    let admitted = policy.admit(file, bytes, point);
-    let (verdict, reason) = match (admitted, point) {
-        (true, DecisionPoint::DemandAdmit) => {
-            ("admit", "demand miss admitted to the copy pipeline")
-        }
-        (true, _) => ("admit", "plan entry admitted to the prefetch lane"),
-        (false, DecisionPoint::DemandAdmit) => (
-            "deny",
-            "admission policy refused the copy; the file stays on the PFS",
-        ),
-        (false, _) => ("deny", "admission policy refused the speculative copy"),
-    };
-    if !admitted {
-        telemetry.stats().policy_denial();
-    }
-    journal_policy(telemetry, policy, t_us, file, point, verdict, reason);
-    admitted
-}
-
-/// Journal one policy verdict with its decision point and cause.
-fn journal_policy(
-    telemetry: &TelemetryRegistry,
-    policy: &PolicyEngine,
-    t_us: u64,
-    file: &str,
-    point: DecisionPoint,
-    verdict: &str,
-    reason: &str,
-) {
-    telemetry.event_at(
-        t_us,
-        EventKind::PolicyDecision {
+    /// Journal that `file` will be copied to `tier`, with the tier's quota
+    /// accounting after the reservation.
+    pub fn placement_decided(&self, t_us: u64, file: &str, tier: TierId) {
+        let (used, capacity) = self
+            .hierarchy
+            .tier(tier)
+            .ok()
+            .and_then(|t| t.quota.as_ref())
+            .map_or((0, 0), |q| (q.used(), q.capacity()));
+        let event = EventKind::PlacementDecided {
             file: file.to_string(),
-            point: point.as_str().to_string(),
-            policy: policy.name().to_string(),
-            verdict: verdict.to_string(),
-            reason: reason.to_string(),
-        },
+            tier,
+            used,
+            capacity,
+        };
+        self.telemetry.event_at(t_us, event);
+    }
+
+    /// Settle a copy that found no room. While a local tier is
+    /// quarantined the file is requeued: it reverts to `Unplaced`, so a
+    /// read after the recovery re-arms placement. Otherwise the dataset
+    /// does not fit and the file stays on the PFS for good (paper §III-B,
+    /// last paragraph). Returns whether the skip was terminal.
+    pub fn settle_unplaced(&self, t_us: u64, file: &str) -> bool {
+        let quarantined = self.hierarchy.any_local_quarantined();
+        let transition = if quarantined {
+            Transition::Requeued {
+                tier: None,
+                reason: UNPLACED_WHILE_QUARANTINED,
+            }
+        } else {
+            Transition::Skipped
+        };
+        self.transition(t_us, file, transition);
+        let _ = self.metadata.abort_copy(file, !quarantined);
+        !quarantined
+    }
+}
+
+/// Pipeline values the gauge families report beside the tier state that
+/// [`publish_gauges`] reads itself. A backend that does not model a value
+/// (the simulator has no remote lane and never drains) reports 0.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PipelineGauges {
+    /// Copies queued per lane: demand, remote, prefetch.
+    pub queued: [usize; 3],
+    /// Copies executing on workers.
+    pub inflight_jobs: usize,
+    /// Prefetch copies and bytes issued and not yet resolved, and plan
+    /// entries issued ahead of the read cursor; `None` without a
+    /// prefetcher.
+    pub prefetch: Option<(usize, u64, usize)>,
+    /// The pipeline is shutting down.
+    pub draining: bool,
+    /// Reads in flight, for a backend without the read path's live
+    /// `monarch_reads_in_flight` gauge.
+    pub reads_in_flight: Option<usize>,
+}
+
+/// Family name and help text of the reads-in-flight gauge.
+pub const READS_IN_FLIGHT_GAUGE: (&str, &str) = (
+    "monarch_reads_in_flight",
+    "Read operations currently executing inside Monarch::read.",
+);
+
+/// Publish every placement gauge family from live state: per-tier
+/// occupancy, capacity, residents and health, the degraded flag, lane
+/// depths, executing copies, the prefetch window and the drain flag.
+pub fn publish_gauges(
+    telemetry: &TelemetryRegistry,
+    hierarchy: &StorageHierarchy,
+    metadata: &MetadataContainer,
+    p: &PipelineGauges,
+) {
+    let g = telemetry.gauges();
+    let set = |name: &str, help: &str, labels: &[(&str, &str)], value: i64| {
+        g.gauge(name, help, labels).set(value);
+    };
+    let files = metadata.residency_histogram(hierarchy.levels());
+    for tier in hierarchy.tiers() {
+        let labels = &[("tier", tier.name.as_str())];
+        if let Some(quota) = tier.quota.as_ref() {
+            let help = "Bytes resident on the tier (quota accounting).";
+            set(
+                "monarch_tier_occupancy_bytes",
+                help,
+                labels,
+                quota.used() as i64,
+            );
+            let help = "Configured capacity of the tier in bytes.";
+            set(
+                "monarch_tier_capacity_bytes",
+                help,
+                labels,
+                quota.capacity() as i64,
+            );
+        }
+        let resident = files.get(tier.id).copied().unwrap_or(0) as i64;
+        set(
+            "monarch_tier_files",
+            "Files currently resident on the tier.",
+            labels,
+            resident,
+        );
+        let state = match hierarchy.health().tier(tier.id).state() {
+            TierState::Closed => 0,
+            TierState::Suspect => 1,
+            TierState::Quarantined => 2,
+        };
+        let help = "Tier health: 0 = closed (healthy), 1 = suspect, 2 = quarantined.";
+        set("monarch_tier_health_state", help, labels, state);
+    }
+    let help = "1 while any tier is quarantined (reads falling back down-hierarchy), else 0.";
+    set(
+        "monarch_degraded",
+        help,
+        &[],
+        i64::from(hierarchy.health().degraded()),
     );
+    for (lane, queued) in ["demand", "remote", "prefetch"].into_iter().zip(p.queued) {
+        let help = "Copies queued (not yet started) per pool lane.";
+        set(
+            "monarch_lane_queued",
+            help,
+            &[("lane", lane)],
+            queued as i64,
+        );
+    }
+    let help = "Copies currently executing on pool workers.";
+    set(
+        "monarch_pool_inflight_jobs",
+        help,
+        &[],
+        p.inflight_jobs as i64,
+    );
+    if let Some((copies, bytes, lag)) = p.prefetch {
+        let help = "Prefetch copies issued and not yet resolved.";
+        set("monarch_prefetch_inflight_copies", help, &[], copies as i64);
+        let help = "Bytes of prefetch copies issued and not yet resolved.";
+        set("monarch_prefetch_inflight_bytes", help, &[], bytes as i64);
+        let help = "Plan entries issued ahead of the read cursor.";
+        set("monarch_prefetch_window_lag_entries", help, &[], lag as i64);
+    }
+    let help = "1 while the transfer engine is shutting down, else 0.";
+    set("monarch_draining", help, &[], i64::from(p.draining));
+    if let Some(reads) = p.reads_in_flight {
+        let (name, help) = READS_IN_FLIGHT_GAUGE;
+        set(name, help, &[], reads as i64);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -666,19 +914,37 @@ impl TransferEngine {
     /// Ask admission about a copy at `point`, journaling the verdict now.
     fn admit(&self, file: &str, size: u64, point: DecisionPoint) -> bool {
         let t_us = self.telemetry.now_micros();
-        admit_copy(&self.telemetry, &self.policy, t_us, file, size, point)
+        self.site(None).admit(t_us, file, size, point)
+    }
+
+    /// The engine's parts as a [`CopySite`] feeding `cluster`.
+    fn site<'a>(&'a self, cluster: Option<&'a ClusterFeed>) -> CopySite<'a> {
+        CopySite {
+            hierarchy: &self.hierarchy,
+            metadata: &self.metadata,
+            policy: &self.policy,
+            telemetry: &self.telemetry,
+            cluster,
+        }
     }
 
     /// Record a placement transition of `file` this engine performed, now.
     fn transition(&self, file: &str, transition: Transition<'_>) {
-        record_transition(
-            &self.telemetry,
-            &self.policy,
-            self.cluster_feed().as_ref(),
-            self.telemetry.now_micros(),
-            file,
-            transition,
-        );
+        let feed = self.cluster_feed();
+        let t_us = self.telemetry.now_micros();
+        self.site(feed.as_ref()).transition(t_us, file, transition);
+    }
+
+    /// Stamp a traced copy's record as queued now, on this thread's track,
+    /// and record its scheduling span.
+    fn record_scheduled(&self, file: &str, size: u64, record: CopyRecord) -> CopyRecord {
+        let record = CopyRecord {
+            scheduler_tid: self.telemetry.trace().register_current_thread(),
+            queued_us: self.telemetry.now_micros(),
+            ..record
+        };
+        self.telemetry.record_copy_scheduled(file, size, &record);
+        record
     }
 
     /// Number of copy worker threads.
@@ -740,29 +1006,16 @@ impl TransferEngine {
                 prefetch: false,
             },
         );
-        let tr = self.telemetry.trace();
-        let queued_us = self.telemetry.micros_if(ctx.flow != 0);
-        if ctx.flow != 0 {
-            let sched = SpanRecord::new(
-                names::COPY_SCHEDULED,
-                "copy",
-                tr.register_current_thread(),
-                queued_us,
-                0,
-            )
-            .with_id(tr.next_id())
-            .with_parent(ctx.parent)
-            .arg_str("file", file)
-            .arg_u64("bytes", size);
-            // `with_flow` makes the exporter emit the `flow` arg itself, so
-            // only the non-starting variant adds it explicitly.
-            tr.record(if ctx.start_flow {
-                sched.with_flow(ctx.flow, FlowPhase::Start)
-            } else {
-                sched.arg_u64("flow", ctx.flow)
-            });
-        }
-        self.submit_copy(file, size, inline_data, ctx, queued_us)
+        let record = (ctx.flow != 0).then(|| {
+            let traced = CopyRecord {
+                flow: ctx.flow,
+                start_flow: ctx.start_flow,
+                parent: ctx.parent,
+                ..CopyRecord::default()
+            };
+            self.record_scheduled(file, size, traced)
+        });
+        self.submit_copy(file, size, inline_data, ctx, record)
     }
 
     /// Queue `file`'s copy on `ctx.lane`. A refused submission (shutdown)
@@ -774,7 +1027,7 @@ impl TransferEngine {
         size: u64,
         inline_data: Option<Vec<u8>>,
         ctx: ReadCtx,
-        queued_us: u64,
+        record: Option<CopyRecord>,
     ) -> bool {
         let job = CopyJob {
             hierarchy: Arc::clone(&self.hierarchy),
@@ -784,8 +1037,7 @@ impl TransferEngine {
             telemetry: Arc::clone(&self.telemetry),
             shutting_down: Arc::clone(&self.shutting_down),
             lane: ctx.lane,
-            flow: ctx.flow,
-            queued_us,
+            record,
             deadline: ctx.deadline,
             cluster_feed: self.cluster_feed(),
             reservations: Arc::clone(&self.reservations),
@@ -957,23 +1209,15 @@ impl TransferEngine {
         if info.state != PlacementState::Placed || info.tier == source {
             return Ok(false);
         }
-        let tier = self.hierarchy.tier(info.tier)?;
-        // Metadata first, then the delete — see the placement-path
-        // eviction: readers racing the delete re-resolve to the source.
-        self.metadata.evict_to(file, source)?;
-        tier.driver.remove(file)?;
-        if let Some(quota) = tier.quota.as_ref() {
-            quota.release(info.size);
-        }
-        self.transition(
+        let feed = self.cluster_feed();
+        self.site(feed.as_ref()).evict(
+            self.telemetry.now_micros(),
             file,
-            Transition::Evicted {
-                tier: info.tier,
-                bytes: info.size,
-                cause: TransitionCause::Eviction,
-                reason: "explicit eviction pushed the file back to the PFS",
-            },
-        );
+            info.tier,
+            info.size,
+            TransitionCause::Eviction,
+            "explicit eviction pushed the file back to the PFS",
+        )?;
         Ok(true)
     }
 
@@ -1129,30 +1373,22 @@ impl TransferEngine {
                 prefetch: true,
             },
         );
+        // Like prestage, the flow starts at the scheduling span (there is
+        // no foreground pread yet — the read it serves may be far in the
+        // future) and finishes at the background copy_exec.
         let tr = self.telemetry.trace();
-        let traced = tr.is_enabled();
-        let flow = if traced { tr.next_id() } else { 0 };
-        let queued_us = self.telemetry.micros_if(traced);
-        if traced {
-            // Like prestage, the flow starts at the scheduling span (there
-            // is no foreground pread yet — the read it serves may be far in
-            // the future) and finishes at the background copy_exec.
-            tr.record(
-                SpanRecord::new(
-                    names::PREFETCH_SCHEDULED,
-                    "copy",
-                    tr.register_current_thread(),
-                    queued_us,
-                    0,
-                )
-                .with_id(tr.next_id())
-                .arg_str("file", file)
-                .arg_u64("bytes", size)
-                .with_flow(flow, FlowPhase::Start),
-            );
-        }
+        let record = tr.is_enabled().then(|| {
+            let traced = CopyRecord {
+                flow: tr.next_id(),
+                start_flow: true,
+                prefetch: true,
+                ..CopyRecord::default()
+            };
+            self.record_scheduled(file, size, traced)
+        });
+        let flow = record.map_or(0, |r| r.flow);
         let ctx = ReadCtx::traced(0, flow).on_lane(Lane::Prefetch);
-        if !self.submit_copy(file, size, None, ctx, queued_us) {
+        if !self.submit_copy(file, size, None, ctx, record) {
             return None;
         }
         // Staged speculatively: protect it from eviction until its planned
@@ -1215,112 +1451,21 @@ impl GaugeSampler {
     /// on each scrape: a handful of atomic loads plus two short lock
     /// acquisitions (pool queue, prefetch window).
     pub fn refresh(&self) {
-        let g = self.telemetry.gauges();
-        let files = self.metadata.residency_histogram(self.hierarchy.levels());
-        for tier in self.hierarchy.tiers() {
-            let labels = &[("tier", tier.name.as_str())];
-            if let Some(quota) = tier.quota.as_ref() {
-                g.gauge(
-                    "monarch_tier_occupancy_bytes",
-                    "Bytes resident on the tier (quota accounting).",
-                    labels,
-                )
-                .set(quota.used() as i64);
-                g.gauge(
-                    "monarch_tier_capacity_bytes",
-                    "Configured capacity of the tier in bytes.",
-                    labels,
-                )
-                .set(quota.capacity() as i64);
-            }
-            g.gauge(
-                "monarch_tier_files",
-                "Files currently resident on the tier.",
-                labels,
-            )
-            .set(files.get(tier.id).copied().unwrap_or(0) as i64);
-            g.gauge(
-                "monarch_tier_health_state",
-                "Tier health: 0 = closed (healthy), 1 = suspect, 2 = quarantined.",
-                labels,
-            )
-            .set(match self.hierarchy.health().tier(tier.id).state() {
-                TierState::Closed => 0,
-                TierState::Suspect => 1,
-                TierState::Quarantined => 2,
-            });
-        }
-        g.gauge(
-            "monarch_degraded",
-            "1 while any tier is quarantined (reads falling back down-hierarchy), else 0.",
-            &[],
-        )
-        .set(i64::from(self.hierarchy.health().degraded()));
-        let demand = self.probe.queued(Lane::Demand);
-        let remote_q = self.probe.queued(Lane::Remote);
-        let prefetch_q = self.probe.queued(Lane::Prefetch);
-        g.gauge(
-            "monarch_lane_queued",
-            "Copies queued (not yet started) per pool lane.",
-            &[("lane", "demand")],
-        )
-        .set(demand as i64);
-        g.gauge(
-            "monarch_lane_queued",
-            "Copies queued (not yet started) per pool lane.",
-            &[("lane", "remote")],
-        )
-        .set(remote_q as i64);
-        g.gauge(
-            "monarch_lane_queued",
-            "Copies queued (not yet started) per pool lane.",
-            &[("lane", "prefetch")],
-        )
-        .set(prefetch_q as i64);
-        g.gauge(
-            "monarch_pool_inflight_jobs",
-            "Copies currently executing on pool workers.",
-            &[],
-        )
-        .set(
-            self.probe
-                .pending()
-                .saturating_sub(demand + remote_q + prefetch_q) as i64,
-        );
-        if let Some(state) = &self.prefetch {
-            let (copies, bytes, lag) = match state.window.lock().as_ref() {
-                Some(w) => (
-                    w.inflight() as i64,
-                    w.inflight_bytes() as i64,
-                    w.next_index().saturating_sub(w.cursor()) as i64,
-                ),
-                None => (0, 0, 0),
-            };
-            g.gauge(
-                "monarch_prefetch_inflight_copies",
-                "Prefetch copies issued and not yet resolved.",
-                &[],
-            )
-            .set(copies);
-            g.gauge(
-                "monarch_prefetch_inflight_bytes",
-                "Bytes of prefetch copies issued and not yet resolved.",
-                &[],
-            )
-            .set(bytes);
-            g.gauge(
-                "monarch_prefetch_window_lag_entries",
-                "Plan entries issued ahead of the read cursor.",
-                &[],
-            )
-            .set(lag);
-        }
-        g.gauge(
-            "monarch_draining",
-            "1 while the transfer engine is shutting down, else 0.",
-            &[],
-        )
-        .set(i64::from(self.shutting_down.load(Ordering::Acquire)));
+        let queued = [Lane::Demand, Lane::Remote, Lane::Prefetch].map(|l| self.probe.queued(l));
+        let prefetch = self.prefetch.as_ref().map(|state| {
+            state.window.lock().as_ref().map_or((0, 0, 0), |w| {
+                let lag = w.next_index().saturating_sub(w.cursor());
+                (w.inflight(), w.inflight_bytes(), lag)
+            })
+        });
+        let gauges = PipelineGauges {
+            queued,
+            inflight_jobs: self.probe.pending().saturating_sub(queued.iter().sum()),
+            prefetch,
+            draining: self.shutting_down.load(Ordering::Acquire),
+            reads_in_flight: None,
+        };
+        publish_gauges(&self.telemetry, &self.hierarchy, &self.metadata, &gauges);
     }
 }
 
@@ -1340,12 +1485,9 @@ struct CopyJob {
     /// Lane the copy was queued on — the residency timeline attributes the
     /// resulting admission to demand or to the plan accordingly.
     lane: Lane,
-    /// Flow id linking back to the sampled foreground operation that
-    /// scheduled this copy; 0 when the trigger was not sampled.
-    flow: u64,
-    /// Registry-clock timestamp of the moment the task was enqueued
-    /// (queue-wait span start); 0 when untraced.
-    queued_us: u64,
+    /// Stage instants of a traced copy, opened when it was queued; `None`
+    /// when the trigger was not sampled.
+    record: Option<CopyRecord>,
     /// Drop the copy if a worker has not started it by this instant.
     deadline: Option<Instant>,
     /// Peer-cache residency feed, mirrored on admit/evict when present.
@@ -1355,26 +1497,24 @@ struct CopyJob {
     reservations: Arc<Mutex<HashMap<String, (TierId, u64)>>>,
 }
 
-/// Per-copy trace context threaded into `try_place` so the chunk-level
-/// spans (`placement_decide` / `copy_read` / `copy_write` /
-/// `metadata_register`) parent under the enclosing `copy_exec`.
-struct CopyTraceCtx {
-    tid: u64,
-    exec_id: u64,
-}
-
 impl CopyJob {
-    /// Record a placement transition of `file` this task performed, now
-    /// (same fan-out as the engine's; the task owns its own `Arc`s).
-    fn transition(&self, file: &str, transition: Transition<'_>) {
-        record_transition(
-            &self.telemetry,
-            &self.policy,
-            self.cluster_feed.as_ref(),
-            self.telemetry.now_micros(),
-            file,
-            transition,
-        );
+    /// The task's parts as a [`CopySite`].
+    fn site(&self) -> CopySite<'_> {
+        CopySite {
+            hierarchy: &self.hierarchy,
+            metadata: &self.metadata,
+            policy: &self.policy,
+            telemetry: &self.telemetry,
+            cluster: self.cluster_feed.as_ref(),
+        }
+    }
+
+    /// Stamp a traced copy's record from the registry clock; an untraced
+    /// copy reads no clock.
+    fn stamp(&self, record: &mut Option<CopyRecord>, f: impl FnOnce(&mut CopyRecord, u64)) {
+        if let Some(r) = record {
+            f(r, self.telemetry.now_micros());
+        }
     }
 
     fn run(&self, file: &str, size: u64, inline_data: Option<Vec<u8>>) {
@@ -1408,103 +1548,48 @@ impl CopyJob {
             let _ = self.metadata.abort_copy(file, false);
             return;
         }
-        let tr = self.telemetry.trace();
-        let traced = self.flow != 0 && tr.is_enabled();
-        let exec_t0 = self.telemetry.micros_if(traced);
-        let copy_trace = if traced {
-            // The queue-wait interval spans enqueue → dequeue; it renders on
-            // its own reserved track because it belongs to neither the
-            // scheduling nor the executing thread.
-            tr.record(
-                SpanRecord::new(
-                    names::QUEUE_WAIT,
-                    "copy",
-                    QUEUE_TRACK,
-                    self.queued_us,
-                    exec_t0.saturating_sub(self.queued_us),
-                )
-                .with_id(tr.next_id())
-                .arg_str("file", file),
-            );
-            Some(CopyTraceCtx {
-                tid: tr.register_current_thread(),
-                exec_id: tr.next_id(),
-            })
-        } else {
-            None
-        };
+        let mut record = self.record.map(|r| CopyRecord {
+            worker_tid: self.telemetry.trace().register_current_thread(),
+            started_us: self.telemetry.now_micros(),
+            ..r
+        });
         let started = Instant::now();
         self.telemetry.event(EventKind::CopyStarted {
             file: file.to_string(),
         });
-        let result = self.try_place(file, size, inline_data, copy_trace.as_ref());
-        if let Some(ct) = &copy_trace {
-            let outcome = match &result {
+        let result = self.try_place(file, size, inline_data, &mut record);
+        if let Some(mut r) = record {
+            r.ended_us = self.telemetry.now_micros();
+            r.outcome = match &result {
                 Ok(Some(_)) => "completed",
                 Ok(None) => "skipped",
                 Err(_) => "failed",
             };
-            tr.record(
-                SpanRecord::new(
-                    names::COPY_EXEC,
-                    "copy",
-                    ct.tid,
-                    exec_t0,
-                    self.telemetry.now_micros() - exec_t0,
-                )
-                .with_id(ct.exec_id)
-                .with_flow(self.flow, FlowPhase::Finish)
-                .arg_str("file", file)
-                .arg_u64("bytes", size)
-                .arg_str("outcome", outcome),
-            );
+            self.telemetry
+                .record_copy(file, size, self.policy.name(), &r);
         }
+        let t_us = self.telemetry.now_micros();
         match result {
             Ok(Some(tier)) => {
-                self.transition(
-                    file,
-                    Transition::Admitted {
-                        tier,
-                        bytes: size,
-                        // Remote installs are demand driven: a foreground read
-                        // triggered the peer fetch, only the install ran later.
-                        cause: match self.lane {
-                            Lane::Demand | Lane::Remote => TransitionCause::Demand,
-                            Lane::Prefetch => TransitionCause::Plan,
-                        },
-                        copy_ns: Some(
-                            u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        ),
+                let admitted = Transition::Admitted {
+                    tier,
+                    bytes: size,
+                    // Remote installs are demand driven: a foreground read
+                    // triggered the peer fetch, only the install ran later.
+                    cause: match self.lane {
+                        Lane::Demand | Lane::Remote => TransitionCause::Demand,
+                        Lane::Prefetch => TransitionCause::Plan,
                     },
-                );
+                    copy_ns: Some(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)),
+                };
+                self.site().transition(t_us, file, admitted);
                 if self.lane == Lane::Prefetch {
-                    self.telemetry.observe().profiler().record_prefetch_staged(
-                        file,
-                        size,
-                        self.telemetry.now_micros(),
-                    );
+                    let profiler = self.telemetry.observe().profiler();
+                    profiler.record_prefetch_staged(file, size, self.telemetry.now_micros());
                 }
             }
             Ok(None) => {
-                // No tier accepted the file. When a quarantined tier is the
-                // reason, the skip is temporary: revert to `Unplaced` so a
-                // read after the tier's recovery re-arms demand placement.
-                // Otherwise the dataset genuinely does not fit — pin the
-                // file to the PFS permanently (placement for it has ended,
-                // paper §III-B last paragraph).
-                let quarantined = self.hierarchy.any_local_quarantined();
-                if quarantined {
-                    self.transition(
-                        file,
-                        Transition::Requeued {
-                            tier: None,
-                            reason: "placement skipped while a tier is quarantined",
-                        },
-                    );
-                } else {
-                    self.transition(file, Transition::Skipped);
-                }
-                let _ = self.metadata.abort_copy(file, !quarantined);
+                self.site().settle_unplaced(t_us, file);
             }
             Err(e) => {
                 // I/O failure: revert to Unplaced so a later read may retry.
@@ -1513,16 +1598,12 @@ impl CopyJob {
                 // *requeue* rather than a plain failure: `Unplaced` re-arms
                 // demand placement, and the policy's quarantine skip routes
                 // the next attempt around the sick tier.
-                let quarantined =
-                    device_error_class(&e).is_some() && self.hierarchy.any_local_quarantined();
-                if quarantined {
-                    self.transition(
-                        file,
-                        Transition::Requeued {
-                            tier: None,
-                            reason: &format!("target tier quarantined: {e}"),
-                        },
-                    );
+                if device_error_class(&e).is_some() && self.hierarchy.any_local_quarantined() {
+                    let requeued = Transition::Requeued {
+                        tier: None,
+                        reason: &format!("target tier quarantined: {e}"),
+                    };
+                    self.site().transition(t_us, file, requeued);
                 } else {
                     self.stats.copy_failed();
                     self.telemetry.event(EventKind::CopyFailed {
@@ -1543,132 +1624,43 @@ impl CopyJob {
         file: &str,
         size: u64,
         inline_data: Option<Vec<u8>>,
-        ct: Option<&CopyTraceCtx>,
+        record: &mut Option<CopyRecord>,
     ) -> Result<Option<TierId>> {
-        let tr = self.telemetry.trace();
-        let t_decide = self.telemetry.micros_if(ct.is_some());
-        let decision = self.policy.place(&self.hierarchy, file, size)?;
-        if let Some(ct) = ct {
-            let mut span = SpanRecord::new(
-                names::PLACEMENT_DECIDE,
-                "copy",
-                ct.tid,
-                t_decide,
-                self.telemetry.now_micros() - t_decide,
-            )
-            .with_id(tr.next_id())
-            .with_parent(ct.exec_id)
-            .arg_str("policy", self.policy.name().to_string());
-            if let Some(d) = &decision {
-                for (key, value) in d.trace_args(&self.hierarchy) {
-                    span.args.push((key, value));
-                }
-            } else {
-                span = span.arg_str("tier", "none");
-            }
-            tr.record(span);
-        }
-        let Some(decision) = decision else {
+        let reserved = self
+            .site()
+            .place_and_reserve(self.telemetry.now_micros(), file, size);
+        self.stamp(record, |r, now| {
+            r.decided_us = now;
+            r.placed = reserved.as_ref().ok().copied().flatten();
+        });
+        let Some(Reservation { tier, .. }) = reserved? else {
             return Ok(None);
         };
-        let dest = self.hierarchy.tier(decision.tier)?;
-        let quota = dest
-            .quota
-            .as_ref()
-            .ok_or(Error::UnknownTier(decision.tier))?;
-
-        // Evictions (eviction-capable policies only): remove victims,
-        // release their quota, then reserve for the newcomer.
-        let reserved = if decision.evict.is_empty() {
-            true // policy reserved during `place`
-        } else {
-            for victim in &decision.evict {
-                if let Some(vinfo) = self.metadata.get(victim) {
-                    if vinfo.tier == decision.tier {
-                        // Metadata flips to the source *before* the local
-                        // copy disappears: a reader that raced the delete
-                        // re-resolves to the source on its retry.
-                        self.metadata.evict_to(victim, self.hierarchy.source_id())?;
-                        dest.driver.remove(victim)?;
-                        quota.release(vinfo.size);
-                        self.transition(
-                            victim,
-                            Transition::Evicted {
-                                tier: decision.tier,
-                                bytes: vinfo.size,
-                                cause: TransitionCause::Policy,
-                                reason: EVICT_TO_MAKE_ROOM,
-                            },
-                        );
-                    }
-                }
-            }
-            quota.try_reserve(size)
-        };
-        if !reserved {
-            return Ok(None);
-        }
+        let dest = self.hierarchy.tier(tier)?;
+        let quota = dest.quota.as_ref().ok_or(Error::UnknownTier(tier))?;
         // Register the live reservation so the pool's panic handler can
         // reclaim it if this task dies before the settlement below runs.
         self.reservations
             .lock()
-            .insert(file.to_string(), (decision.tier, size));
-        self.telemetry.event(EventKind::PlacementDecided {
-            file: file.to_string(),
-            tier: decision.tier,
-            used: quota.used(),
-            capacity: quota.capacity(),
-        });
+            .insert(file.to_string(), (tier, size));
 
         // The install either succeeds or reports *which* tier failed, so
         // health accounting blames the source on a failed read and the
         // destination on a failed write.
-        let install = || -> std::result::Result<(), (TierId, Error)> {
+        let mut install = || -> std::result::Result<(), (TierId, Error)> {
             let data = match inline_data {
                 Some(ref data) => data.clone(),
                 None => {
-                    let t_read = self.telemetry.micros_if(ct.is_some());
                     let source = self.hierarchy.source();
                     let data = source.driver.read_full(file).map_err(|e| (source.id, e))?;
                     self.stats.record_read(source.id, data.len() as u64);
-                    if let Some(ct) = ct {
-                        tr.record(
-                            SpanRecord::new(
-                                names::COPY_READ,
-                                "copy",
-                                ct.tid,
-                                t_read,
-                                self.telemetry.now_micros() - t_read,
-                            )
-                            .with_id(tr.next_id())
-                            .with_parent(ct.exec_id)
-                            .arg_str("tier", &source.name)
-                            .arg_u64("bytes", data.len() as u64),
-                        );
-                    }
+                    self.stamp(record, |r, now| r.fetched_us = Some(now));
                     data
                 }
             };
-            let t_write = self.telemetry.micros_if(ct.is_some());
-            dest.driver
-                .write_full(file, &data)
-                .map_err(|e| (decision.tier, e))?;
-            self.stats.record_write(decision.tier, data.len() as u64);
-            if let Some(ct) = ct {
-                tr.record(
-                    SpanRecord::new(
-                        names::COPY_WRITE,
-                        "copy",
-                        ct.tid,
-                        t_write,
-                        self.telemetry.now_micros() - t_write,
-                    )
-                    .with_id(tr.next_id())
-                    .with_parent(ct.exec_id)
-                    .arg_str("tier", &dest.name)
-                    .arg_u64("bytes", data.len() as u64),
-                );
-            }
+            dest.driver.write_full(file, &data).map_err(|e| (tier, e))?;
+            self.stats.record_write(tier, data.len() as u64);
+            self.stamp(record, |r, now| r.written_us = Some(now));
             Ok(())
         };
         // Copy-path fault handling: transient device errors back off and
@@ -1689,21 +1681,24 @@ impl CopyJob {
             let Some(class) = device_error_class(&e) else {
                 break Some(e);
             };
-            let (_, quarantined_now) = health.record_error(err_tier, class);
-            if quarantined_now {
-                let t_us = self.telemetry.now_micros();
-                let reason = format!("copy of '{file}' failed: {e}");
-                self.telemetry.tier_quarantined(t_us, err_tier, reason);
-            }
+            let reason = || format!("copy of '{file}' failed: {e}");
+            charge_device_error(
+                health,
+                &self.telemetry,
+                err_tier,
+                class,
+                health.now_us(),
+                reason,
+            );
             match class {
                 ErrorClass::Transient if attempts < retry.max_attempts => {
                     attempts += 1;
                     self.stats.copy_retry();
                     std::thread::sleep(Duration::from_micros(retry.backoff_us(attempts, size)));
                 }
-                ErrorClass::Capacity if !evicted_for_space && err_tier == decision.tier => {
+                ErrorClass::Capacity if !evicted_for_space && err_tier == tier => {
                     evicted_for_space = true;
-                    if !self.evict_for_space(file, decision.tier) {
+                    if !self.evict_for_space(file, tier) {
                         break Some(e);
                     }
                     self.stats.enospc_eviction();
@@ -1711,39 +1706,23 @@ impl CopyJob {
                 _ => break Some(e),
             }
         };
+        self.reservations.lock().remove(file);
         match failure {
             None => {
-                let t_reg = self.telemetry.micros_if(ct.is_some());
-                self.reservations.lock().remove(file);
-                self.metadata.finish_copy(file, decision.tier)?;
-                self.policy.on_placed(file, size, decision.tier);
-                health.record_success(decision.tier);
-                if let Some(ct) = ct {
-                    tr.record(
-                        SpanRecord::new(
-                            names::METADATA_REGISTER,
-                            "copy",
-                            ct.tid,
-                            t_reg,
-                            self.telemetry.now_micros() - t_reg,
-                        )
-                        .with_id(tr.next_id())
-                        .with_parent(ct.exec_id)
-                        .arg_str("tier", &dest.name),
-                    );
-                }
-                Ok(Some(decision.tier))
+                self.metadata.finish_copy(file, tier)?;
+                self.policy.on_placed(file, size, tier);
+                health.record_success(tier);
+                Ok(Some(tier))
             }
             Some(e) => {
-                self.reservations.lock().remove(file);
                 quota.release(size);
                 // Best effort: remove a possibly half-written destination
                 // file (the POSIX driver's rename makes this a no-op there).
                 if dest.driver.remove(file).is_ok() {
-                    self.stats.record_remove(decision.tier);
+                    self.stats.record_remove(tier);
                     self.telemetry.event(EventKind::Removed {
                         file: file.to_string(),
-                        tier: decision.tier,
+                        tier,
                     });
                 }
                 Err(e)
@@ -1757,45 +1736,30 @@ impl CopyJob {
     /// preference among the resident candidates; otherwise the first
     /// non-exempt resident goes, so pressure is relieved even under
     /// no-eviction policies. Returns whether a victim was evicted.
-    fn evict_for_space(&self, keep: &str, tier_id: TierId) -> bool {
-        let Ok(dest) = self.hierarchy.tier(tier_id) else {
-            return false;
-        };
-        let Some(quota) = dest.quota.as_ref() else {
-            return false;
-        };
+    fn evict_for_space(&self, keep: &str, tier: TierId) -> bool {
         let mut candidates: Vec<(String, u64)> = Vec::new();
         self.metadata.for_each(|name, info| {
-            if name != keep && info.state == PlacementState::Placed && info.tier == tier_id {
+            if name != keep && info.state == PlacementState::Placed && info.tier == tier {
                 candidates.push((name.to_string(), info.size));
             }
         });
-        let Some(victim) = self.policy.pressure_victim(tier_id, &candidates, keep) else {
+        let Some(victim) = self.policy.pressure_victim(tier, &candidates, keep) else {
             return false;
         };
         let vsize = candidates
             .iter()
             .find(|(name, _)| *name == victim)
             .map_or(0, |(_, size)| *size);
-        if self
-            .metadata
-            .evict_to(&victim, self.hierarchy.source_id())
-            .is_err()
-        {
-            return false;
-        }
-        let _ = dest.driver.remove(&victim);
-        quota.release(vsize);
-        self.transition(
-            &victim,
-            Transition::Evicted {
-                tier: tier_id,
-                bytes: vsize,
-                cause: TransitionCause::Policy,
-                reason: "evicted under ENOSPC pressure to free real device space",
-            },
-        );
-        true
+        self.site()
+            .evict(
+                self.telemetry.now_micros(),
+                &victim,
+                tier,
+                vsize,
+                TransitionCause::Policy,
+                "evicted under ENOSPC pressure to free real device space",
+            )
+            .is_ok()
     }
 }
 
@@ -1804,9 +1768,8 @@ mod tests {
     use super::*;
     use crate::config::TelemetryConfig;
     use crate::config::{AdmissionKind, PolicyKind};
-    use crate::driver::{
-        open_gate, FlakyDriver, FlakyOutcome, Gate, GatedDriver, MemDriver, StorageDriver,
-    };
+    use crate::driver::testing::{open_gate, FlakyDriver, FlakyOutcome, Gate, GatedDriver};
+    use crate::driver::{MemDriver, StorageDriver};
     use std::time::Duration;
 
     // -- LaneQueues ---------------------------------------------------------
@@ -2261,7 +2224,8 @@ mod tests {
         // Two 512-byte files fit the local tier. Each eviction entry point
         // (explicit, ENOSPC pressure, policy pressure) must land exactly
         // once in every view: counter, journal, policy verdict, timeline
-        // and the peer-cache view.
+        // and the peer-cache view. Each victim is unlinked from the tier
+        // and its quota released exactly once.
         let ssd = Arc::new(FlakyDriver::new(MemDriver::new("ssd")));
         let mut engine = assemble_with(
             Arc::clone(&ssd) as Arc<dyn StorageDriver>,
@@ -2296,27 +2260,75 @@ mod tests {
                     .count(),
             )
         };
+        let used = || {
+            engine
+                .hierarchy
+                .tier(0)
+                .unwrap()
+                .quota
+                .as_ref()
+                .unwrap()
+                .used()
+        };
+        // `victim` is gone from the tier driver and the quota moved by
+        // exactly `placed` bytes in and the victim's 512 bytes out.
+        let evicted_once = |victim: &str, used_before: u64, placed: u64| {
+            assert!(ssd.file_size(victim).is_err(), "{victim} unlinked");
+            assert_eq!(used() + 512, used_before + placed, "{victim} released once");
+        };
         place("f000");
         place("f001");
         assert!(view.holds("f000", 2) && view.holds("f001", 2));
 
+        let before = used();
         assert!(engine.evict("f000").unwrap());
         assert_eq!(records("plan_evict"), (1, 1, 1, 1), "explicit evict");
         assert!(!view.holds("f000", 2));
+        evicted_once("f000", before, 0);
 
         // The quota has room but the device reports ENOSPC once: the
         // install evicts the other resident and retries.
         ssd.script_writes([FlakyOutcome::Enospc]);
+        let before = used();
         place("f000");
         assert_eq!(records("pressure_evict"), (2, 2, 1, 2), "ENOSPC evict");
         assert!(!view.holds("f001", 2) && view.holds("f000", 2));
+        evicted_once("f001", before, 512);
 
         // The quota is full: LRU makes room for the newcomer.
         place("f002");
+        let before = used();
         place("f003");
         assert_eq!(records("pressure_evict"), (3, 3, 2, 3), "policy evict");
         assert!(!view.holds("f000", 2), "the LRU victim left the view");
         assert_eq!(view.files(), 2);
+        evicted_once("f000", before, 512);
+        engine.drain();
+    }
+
+    #[test]
+    fn evicting_an_already_missing_copy_still_releases_its_quota() {
+        // The simulator's tiers hold no bytes, and a cached copy can vanish
+        // behind Monarch's back: an unlink that finds nothing counts as
+        // done, so the eviction still releases the quota and is recorded.
+        let ssd = Arc::new(MemDriver::new("ssd"));
+        let mut engine = assemble_with(
+            Arc::clone(&ssd) as Arc<dyn StorageDriver>,
+            1 << 20,
+            PolicyKind::FirstFit,
+            Arc::new(staged_pfs(1)),
+            1,
+            PrefetchConfig::disabled(),
+        );
+        assert!(engine.demand("f000", 512, None, ReadCtx::untraced()));
+        engine.wait_idle();
+        ssd.remove("f000").unwrap();
+        assert!(engine.evict("f000").unwrap());
+        let quota = engine.hierarchy.tier(0).unwrap().quota.as_ref().unwrap();
+        assert_eq!(quota.used(), 0);
+        let info = engine.metadata.get("f000").unwrap();
+        assert_eq!(info.state, PlacementState::Unplaced);
+        assert_eq!(engine.stats.snapshot().evictions, 1);
         engine.drain();
     }
 

@@ -7,7 +7,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use monarch_core::driver::{open_gate, Gate, GatedDriver, MemDriver};
+use monarch_core::driver::testing::{open_gate, Gate, GatedDriver};
+use monarch_core::driver::MemDriver;
 use monarch_core::hierarchy::StorageHierarchy;
 use monarch_core::metadata::PlacementState;
 use monarch_core::{

@@ -7,8 +7,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use monarch_core::config::PolicyKind;
-use monarch_core::driver::{FaultKind, FaultyDriver, MemDriver, StorageDriver};
+use monarch_core::driver::testing::{FlakyDriver, FlakyOutcome};
+use monarch_core::driver::{MemDriver, StorageDriver};
 use monarch_core::hierarchy::StorageHierarchy;
+use monarch_core::HealthConfig;
 use monarch_core::MonarchBuilder;
 
 /// Stage `n` files of `size` bytes with deterministic contents.
@@ -102,7 +104,11 @@ fn fault_storm_leaves_state_consistent() {
     const FILES: usize = 24;
     const SIZE: usize = 2048;
     let pfs = stage(FILES, SIZE);
-    let faulty = FaultyDriver::new(MemDriver::new("ssd"), FaultKind::Writes, 15);
+    // Fifteen scripted write failures. The breaker gets no in-place
+    // retries and never trips, so each failure ends its copy and a later
+    // touch retries it, instead of the SSD being quarantined mid-storm.
+    let faulty = FlakyDriver::new(MemDriver::new("ssd"));
+    faulty.script_writes([FlakyOutcome::Transient; 15]);
     let hierarchy = StorageHierarchy::new(vec![
         (
             "ssd".into(),
@@ -112,6 +118,12 @@ fn fault_storm_leaves_state_consistent() {
         ("pfs".into(), Arc::new(pfs) as Arc<dyn StorageDriver>, None),
     ])
     .unwrap();
+    hierarchy.health().set_config(HealthConfig {
+        retry_max_attempts: 0,
+        consecutive_failure_limit: u32::MAX,
+        quarantine_threshold: 2.0,
+        ..HealthConfig::default()
+    });
     let m = Arc::new(
         MonarchBuilder::new()
             .hierarchy(hierarchy)

@@ -4,6 +4,8 @@
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh fmt        # one stage: fmt | clippy | size | test | stress | trace | prefetch | policy | report | cluster | chaos | perf | serve
+#   scripts/check.sh simdiff [REV]  # sim_epoch entries bit-identical to REV
+#                                   # (default HEAD); not part of `all`
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -295,6 +297,45 @@ run_perf() {
         --baseline BENCH_read_path.json --tolerance 15%
 }
 
+# Sim determinism A/B: export REV (default HEAD) and the working tree
+# (tracked plus untracked, unignored files) into two throwaway source
+# trees, build `bench snapshot --name sim_epoch` in each, and fail unless
+# every entry's value is bit-identical. The exports are plain `git archive`
+# / tar copies, so the repository's own checkout and worktree list are
+# never touched. Both builds share one CARGO_TARGET_DIR and keep their
+# export paths between runs, so a repeat run rebuilds only what changed.
+# Snapshots go to a scratch directory, never over BENCH_sim_epoch.json.
+run_simdiff() {
+    local rev="$1"
+    local dir="target/simdiff"
+    local base="$dir/base" work="$dir/work" out="$dir/out"
+    git rev-parse --verify -q "$rev^{commit}" > /dev/null \
+        || { echo "simdiff: unknown revision $rev" >&2; exit 2; }
+    rm -rf "$base" "$work" "$out"
+    mkdir -p "$base" "$work" "$out/base" "$out/work"
+    git archive "$rev" | tar -x -C "$base"
+    git ls-files -z --cached --others --exclude-standard \
+        | while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done \
+        | tar --null -T - -c | tar -x -C "$work"
+    local target
+    target="$(pwd)/$dir/target"
+    for side in base work; do
+        echo "==> bench snapshot --name sim_epoch ($side: $([ "$side" = base ] && echo "$rev" || echo 'working tree'))"
+        (cd "$dir/$side" && CARGO_TARGET_DIR="$target" \
+            cargo build -q --offline --release -p monarch-bench --bin bench)
+        MONARCH_BENCH_DIR="$out/$side" "$target/release/bench" snapshot --name sim_epoch
+    done
+    python3 - "$out/base/BENCH_sim_epoch.json" "$out/work/BENCH_sim_epoch.json" <<'PY'
+import json, sys
+base, work = ({e["id"]: e["value"] for e in json.load(open(p))["entries"]} for p in sys.argv[1:])
+diffs = [f"  {k}: {base.get(k)!r} -> {work.get(k)!r}"
+         for k in sorted(base.keys() | work.keys()) if base.get(k) != work.get(k)]
+if diffs:
+    sys.exit("simdiff: sim_epoch entries differ from the base revision:\n" + "\n".join(diffs))
+print(f"simdiff: {len(base)} sim_epoch entries bit-identical")
+PY
+}
+
 # Exporter smoke: start `monarch serve` on an ephemeral port against a
 # generated dataset, scrape every endpoint, and check the Prometheus text
 # carries the gauge/histogram families.
@@ -357,6 +398,7 @@ case "$stage" in
     chaos) run_chaos ;;
     perf) run_perf ;;
     serve) run_serve ;;
+    simdiff) run_simdiff "${2:-HEAD}" ;;
     all)
         run_fmt
         run_clippy
@@ -373,7 +415,7 @@ case "$stage" in
         run_perf
         ;;
     *)
-        echo "usage: scripts/check.sh [fmt|clippy|size|test|stress|trace|prefetch|policy|report|cluster|chaos|perf|serve|all]" >&2
+        echo "usage: scripts/check.sh [fmt|clippy|size|test|stress|trace|prefetch|policy|report|cluster|chaos|perf|serve|simdiff [REV]|all]" >&2
         exit 2
         ;;
 esac

@@ -10,7 +10,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use monarch::core::driver::{FlakyDriver, PosixDriver, StorageDriver};
+use monarch::core::driver::testing::FlakyDriver;
+use monarch::core::driver::{PosixDriver, StorageDriver};
 use monarch::core::health::HealthConfig;
 use monarch::core::hierarchy::StorageHierarchy;
 use monarch::core::middleware::Monarch;

@@ -196,3 +196,79 @@ fn monarch_placement_outcomes_agree_between_sim_and_real() {
     assert!(real_placed > 0 && real_skipped > 0);
     fs::remove_dir_all(&root).unwrap();
 }
+
+/// `(family, label keys)` of every gauge in a snapshot.
+fn gauge_families(
+    gauges: &[monarch::core::GaugeSnapshot],
+) -> std::collections::BTreeSet<(String, Vec<String>)> {
+    gauges
+        .iter()
+        .map(|g| {
+            let mut keys: Vec<String> = g.labels.iter().map(|(k, _)| k.clone()).collect();
+            keys.sort();
+            (g.name.clone(), keys)
+        })
+        .collect()
+}
+
+#[test]
+fn sim_and_real_export_the_same_gauge_families() {
+    use monarch::core::driver::MemDriver;
+    use monarch::core::prefetch::{AccessPlan, PrefetchConfig};
+    use monarch::core::{MonarchBuilder, StorageDriver, StorageHierarchy};
+
+    // Real: one capped SSD over a PFS, prefetch on, one planned read.
+    let pfs = MemDriver::new("pfs");
+    for i in 0..4 {
+        pfs.insert(&format!("f{i}"), vec![i as u8; 256]);
+    }
+    let hierarchy = StorageHierarchy::new(vec![
+        (
+            "ssd".into(),
+            Arc::new(MemDriver::new("ssd")) as Arc<dyn StorageDriver>,
+            Some(1 << 20),
+        ),
+        ("pfs".into(), Arc::new(pfs) as Arc<dyn StorageDriver>, None),
+    ])
+    .unwrap();
+    let m = MonarchBuilder::new()
+        .hierarchy(hierarchy)
+        .prefetch(PrefetchConfig {
+            lookahead: 2,
+            max_inflight_bytes: 0,
+        })
+        .build()
+        .unwrap();
+    m.init().unwrap();
+    m.submit_plan(&AccessPlan::new(vec!["f0".into(), "f1".into()]));
+    let mut buf = [0u8; 64];
+    m.read("f0", 0, &mut buf).unwrap();
+    m.wait_placement_idle();
+    let real_gauges = m.telemetry_snapshot().gauges;
+    let real = gauge_families(&real_gauges);
+
+    // Sim: the same layout (one capped SSD over the PFS), prefetch on.
+    let geom = DatasetGeom::miniature("gauges", 4096, 7);
+    let report = SimTrainer::new(
+        Setup::Monarch(MonarchSimConfig::with_prefetch(4)),
+        geom,
+        tiny_model(),
+        PipelineConfig::default().with_seed(3),
+        EnvConfig::default(),
+    )
+    .run(1);
+    let sim_gauges = report.telemetry.expect("sim telemetry").gauges;
+    let sim = gauge_families(&sim_gauges);
+
+    assert!(real.contains(&("monarch_prefetch_inflight_copies".into(), vec![])));
+    assert_eq!(sim, real, "sim and real gauge families differ");
+    // Tier names differ between the two layouts; the lanes do not.
+    let lanes = |gauges: &[monarch::core::GaugeSnapshot]| -> Vec<String> {
+        let lane = gauges
+            .iter()
+            .flat_map(|g| &g.labels)
+            .filter(|(k, _)| k == "lane");
+        lane.map(|(_, v)| v.clone()).collect()
+    };
+    assert_eq!(lanes(&sim_gauges), lanes(&real_gauges));
+}
