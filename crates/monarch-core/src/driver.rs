@@ -3,19 +3,23 @@
 //! A driver hides the backend behind a small object-safe trait so tiers can
 //! be backed by a real directory ([`PosixDriver`]), RAM ([`MemDriver`]), a
 //! fault-scripting test wrapper (the [`testing`] module) or — in the
-//! `dlpipe` simulation — a modelled device. Files are addressed by their *logical
-//! name* (the dataset-relative path), mirroring the paper's `Monarch.read`
-//! which takes a filename rather than a file descriptor.
+//! `dlpipe` simulation — a modelled device. Callers address files by their
+//! *logical name* (the dataset-relative path), mirroring the paper's
+//! `Monarch.read`, which takes a filename; descriptors stay inside the
+//! driver ([`PosixDriver`] keeps a bounded cache of open handles and serves
+//! reads with one positional `pread`).
 
 use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::RwLock;
 
-use crate::hash::FxHashMap;
+use crate::hash::{hash_str, FxHashMap};
 use crate::telemetry::LatencyHistogram;
 use crate::{Error, Result};
 
@@ -55,22 +59,127 @@ pub trait StorageDriver: Send + Sync {
 // POSIX driver
 // ---------------------------------------------------------------------------
 
+/// Open handles one [`PosixDriver`] keeps at most, summed over its shards.
+const HANDLE_CAP: usize = 1024;
+
+/// Lock shards of the handle cache, so concurrent readers of different
+/// files rarely touch the same lock.
+const HANDLE_SHARDS: usize = 16;
+
+/// `EMFILE` / `ENFILE`: the process or the system is out of descriptors.
+const EMFILE: i32 = 24;
+const ENFILE: i32 = 23;
+
+/// Gives every `write_full` temp file a name no other call shares.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+#[derive(Default)]
+struct HandleShard {
+    handles: FxHashMap<String, Arc<fs::File>>,
+    /// Bumped by every invalidation; a miss inserts only if it is unchanged.
+    generation: u64,
+}
+
+/// Bounded cache of open read handles, keyed by logical name.
+///
+/// A miss notes its shard's generation before opening and inserts only if
+/// no invalidation ran meanwhile, so a handle opened before an unlink or
+/// rename is served to that one read but never cached.
+struct HandleCache {
+    shards: Box<[RwLock<HandleShard>]>,
+    per_shard: usize,
+}
+
+impl HandleCache {
+    fn new(cap: usize) -> Self {
+        let shards = HANDLE_SHARDS.min(cap).max(1);
+        Self {
+            shards: (0..shards).map(|_| RwLock::default()).collect(),
+            per_shard: (cap / shards).max(1),
+        }
+    }
+
+    fn shard(&self, file: &str) -> &RwLock<HandleShard> {
+        &self.shards[hash_str(file) as usize % self.shards.len()]
+    }
+
+    /// The cached handle for `file`, or on a miss the shard generation to
+    /// hand to [`HandleCache::insert`].
+    fn lookup(&self, file: &str) -> std::result::Result<Arc<fs::File>, u64> {
+        let shard = self.shard(file).read();
+        shard.handles.get(file).cloned().ok_or(shard.generation)
+    }
+
+    /// Cache `handle` unless the shard was invalidated since `generation`
+    /// was read; returns whether it was cached.
+    fn insert(&self, file: &str, handle: &Arc<fs::File>, generation: u64) -> bool {
+        let mut shard = self.shard(file).write();
+        if shard.generation != generation {
+            return false;
+        }
+        if shard.handles.len() >= self.per_shard && !shard.handles.contains_key(file) {
+            let victim = shard.handles.keys().next().cloned();
+            if let Some(victim) = victim {
+                shard.handles.remove(&victim);
+            }
+        }
+        shard.handles.insert(file.to_owned(), Arc::clone(handle));
+        true
+    }
+
+    /// Drop `file`'s handle; called after every unlink or rename of it.
+    fn invalidate(&self, file: &str) {
+        let mut shard = self.shard(file).write();
+        shard.handles.remove(file);
+        shard.generation += 1;
+    }
+
+    /// Drop every handle (descriptor pressure). Nothing is renamed, so the
+    /// generations stay.
+    fn clear(&self) {
+        for shard in &*self.shards {
+            shard.write().handles.clear();
+        }
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.read().handles.len()).sum()
+    }
+}
+
 /// Driver over a real directory tree (the production path: an XFS mount on
 /// the node-local SSD, or the Lustre dataset directory).
+///
+/// Reads are positional (`pread`) on an open handle cached per logical
+/// name. The cache is invalidated by this driver's own `write_full` and
+/// `remove`, so tier contents must change only through the driver: an
+/// out-of-band unlink or replace is not seen while a handle is cached.
 pub struct PosixDriver {
     name: String,
     root: PathBuf,
+    handles: HandleCache,
 }
 
 impl PosixDriver {
     /// Create a driver rooted at `root`; the directory is created if absent
     /// (local cache tiers start empty).
     pub fn new(name: impl Into<String>, root: impl Into<PathBuf>) -> Result<Self> {
+        Self::with_handle_cap(name, root, HANDLE_CAP)
+    }
+
+    /// As [`PosixDriver::new`], caching at most `cap` open handles.
+    pub(crate) fn with_handle_cap(
+        name: impl Into<String>,
+        root: impl Into<PathBuf>,
+        cap: usize,
+    ) -> Result<Self> {
         let root = root.into();
         fs::create_dir_all(&root)?;
         Ok(Self {
             name: name.into(),
             root,
+            handles: HandleCache::new(cap),
         })
     }
 
@@ -83,6 +192,51 @@ impl PosixDriver {
     fn resolve(&self, file: &str) -> PathBuf {
         self.root.join(file)
     }
+
+    /// Open `file` for reading. Out of descriptors, drop this driver's
+    /// cached handles and retry once, so the cache never turns descriptor
+    /// pressure into tier errors.
+    fn open(&self, file: &str) -> std::io::Result<fs::File> {
+        let path = self.resolve(file);
+        match fs::File::open(&path) {
+            Err(e) if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) => {
+                self.handles.clear();
+                fs::File::open(&path)
+            }
+            opened => opened,
+        }
+    }
+
+    fn handle(&self, file: &str) -> std::io::Result<Arc<fs::File>> {
+        match self.handles.lookup(file) {
+            Ok(handle) => Ok(handle),
+            Err(generation) => {
+                let handle = Arc::new(self.open(file)?);
+                self.handles.insert(file, &handle, generation);
+                Ok(handle)
+            }
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn cached_handles(&self) -> usize {
+        self.handles.len()
+    }
+}
+
+/// Write `data` to `tmp`, then rename it over `path`; `tmp` is removed if
+/// any step fails, so a failed copy leaves no unaccounted bytes behind.
+fn write_then_rename(tmp: &Path, path: &Path, data: &[u8]) -> std::io::Result<()> {
+    let written = fs::File::create(tmp).and_then(|mut f| {
+        f.write_all(data)?;
+        f.sync_data().ok(); // best-effort: cache tiers are ephemeral
+        Ok(())
+    });
+    let renamed = written.and_then(|()| fs::rename(tmp, path));
+    if renamed.is_err() {
+        let _ = fs::remove_file(tmp);
+    }
+    renamed
 }
 
 impl StorageDriver for PosixDriver {
@@ -91,11 +245,10 @@ impl StorageDriver for PosixDriver {
     }
 
     fn read_at(&self, file: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        let mut f = fs::File::open(self.resolve(file))?;
-        f.seek(SeekFrom::Start(offset))?;
+        let handle = self.handle(file)?;
         let mut filled = 0;
         while filled < buf.len() {
-            match f.read(&mut buf[filled..]) {
+            match handle.read_at(&mut buf[filled..], offset + filled as u64) {
                 Ok(0) => break,
                 Ok(n) => filled += n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -115,20 +268,24 @@ impl StorageDriver for PosixDriver {
             fs::create_dir_all(parent)?;
         }
         // Write to a temp name then rename, so concurrent readers never see
-        // a half-copied file after the metadata flips to this tier.
-        let tmp = path.with_extension("monarch-tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(data)?;
-            f.sync_data().ok(); // best-effort: cache tiers are ephemeral
-        }
-        fs::rename(&tmp, &path)?;
+        // a half-copied file after the metadata flips to this tier. The temp
+        // name extends the full file name and is unique per call, so copies
+        // of `x.a` and `x.b`, or two writes of one name, never share it.
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(format!(
+            ".monarch-tmp-{}-{}",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        write_then_rename(Path::new(&tmp), &path, data)?;
+        self.handles.invalidate(file);
         Ok(())
     }
 
     fn remove(&self, file: &str) -> Result<()> {
-        fs::remove_file(self.resolve(file))?;
-        Ok(())
+        let removed = fs::remove_file(self.resolve(file));
+        self.handles.invalidate(file);
+        Ok(removed?)
     }
 
     fn file_size(&self, file: &str) -> Result<u64> {
@@ -610,8 +767,14 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
         let d = PosixDriver::new("p", &root).unwrap();
         d.write_full("f", b"first").unwrap();
+        // Warm the cached handle, then write over it: reads see the new bytes.
+        let mut buf = [0u8; 6];
+        assert_eq!(d.read_at("f", 0, &mut buf).unwrap(), 5);
+        assert_eq!(&buf[..5], b"first");
         d.write_full("f", b"second").unwrap();
         assert_eq!(d.read_full("f").unwrap(), b"second");
+        assert_eq!(d.read_at("f", 0, &mut buf).unwrap(), 6);
+        assert_eq!(&buf, b"second");
         // No leftover temp files.
         assert_eq!(d.list().unwrap().len(), 1);
         fs::remove_dir_all(&root).unwrap();
@@ -625,6 +788,11 @@ mod tests {
         let mem = MemDriver::new("m");
         for d in [&posix as &dyn StorageDriver, &mem] {
             let mut buf = [0u8; 4];
+            // Read the file first, so the POSIX driver holds a warm handle
+            // when it is removed.
+            d.write_full("gone", b"stale").unwrap();
+            assert_eq!(d.read_at("gone", 0, &mut buf).unwrap(), 4);
+            d.remove("gone").unwrap();
             let errors = [
                 d.read_at("gone", 0, &mut buf).err(),
                 d.read_full("gone").err(),
@@ -640,6 +808,90 @@ mod tests {
                 }
             }
         }
+        assert_eq!(posix.cached_handles(), 0);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn posix_handle_cache_stays_within_its_cap() {
+        let root = std::env::temp_dir().join(format!("monarch-cap-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let d = PosixDriver::with_handle_cap("p", &root, 4).unwrap();
+        for i in 0..20u8 {
+            d.write_full(&format!("f{i}"), &[i; 8]).unwrap();
+        }
+        let mut buf = [0u8; 8];
+        for round in 0..2 {
+            for i in 0..20u8 {
+                assert_eq!(d.read_at(&format!("f{i}"), 0, &mut buf).unwrap(), 8);
+                assert_eq!(buf, [i; 8], "round {round}");
+                assert!(d.cached_handles() <= 4, "{} handles", d.cached_handles());
+            }
+        }
+        assert!(d.cached_handles() > 0);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The miss path run in the bad order: the handle is opened, the file
+    /// is removed, and only then does the miss try to cache the handle.
+    #[test]
+    fn posix_handle_opened_before_remove_is_never_cached() {
+        let root = std::env::temp_dir().join(format!("monarch-stale-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let d = PosixDriver::new("p", &root).unwrap();
+        d.write_full("f", b"evicted").unwrap();
+        let generation = d.handles.lookup("f").unwrap_err();
+        let handle = Arc::new(d.open("f").unwrap());
+        d.remove("f").unwrap();
+        assert!(!d.handles.insert("f", &handle, generation));
+        assert_eq!(d.cached_handles(), 0);
+        let mut buf = [0u8; 7];
+        match d.read_at("f", 0, &mut buf) {
+            Err(Error::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound),
+            other => panic!("expected NotFound, got {other:?}"),
+        }
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn posix_concurrent_writes_never_share_a_temp_file() {
+        let root = std::env::temp_dir().join(format!("monarch-tmpname-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let d = PosixDriver::new("p", &root).unwrap();
+        std::thread::scope(|s| {
+            for (file, byte) in [("s.a", b'a'), ("s.b", b'b')] {
+                let d = &d;
+                s.spawn(move || {
+                    let data = vec![byte; 4096];
+                    let mut buf = vec![0u8; 4096];
+                    for _ in 0..200 {
+                        d.write_full(file, &data).unwrap();
+                        assert_eq!(d.read_full(file).unwrap(), data, "{file}");
+                        assert_eq!(d.read_at(file, 0, &mut buf).unwrap(), 4096);
+                        assert_eq!(buf, data, "{file}");
+                    }
+                });
+            }
+        });
+        let names: Vec<_> = d.list().unwrap().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["s.a", "s.b"]);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn posix_failed_write_leaves_no_temp_file() {
+        let root = std::env::temp_dir().join(format!("monarch-failwrite-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let d = PosixDriver::new("p", &root).unwrap();
+        // A non-empty directory where the file should go makes the rename fail.
+        d.write_full("x/inner", b"keep").unwrap();
+        assert!(d.write_full("x", b"copy").is_err());
+        assert_eq!(d.list().unwrap(), vec![("x/inner".to_string(), 4)]);
+        let raw: Vec<_> = fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(raw, ["x"]);
         fs::remove_dir_all(&root).unwrap();
     }
 

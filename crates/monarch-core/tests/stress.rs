@@ -3,15 +3,15 @@
 //! underneath. These are the conditions the paper's "all MONARCH modules
 //! are thread-safe" claim has to survive.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use monarch_core::config::PolicyKind;
 use monarch_core::driver::testing::{FlakyDriver, FlakyOutcome};
-use monarch_core::driver::{MemDriver, StorageDriver};
+use monarch_core::driver::{MemDriver, PosixDriver, StorageDriver};
 use monarch_core::hierarchy::StorageHierarchy;
 use monarch_core::HealthConfig;
-use monarch_core::MonarchBuilder;
+use monarch_core::{Error, MonarchBuilder};
 
 /// Stage `n` files of `size` bytes with deterministic contents.
 fn stage(n: usize, size: usize) -> MemDriver {
@@ -265,4 +265,90 @@ fn prestage_races_with_readers() {
         "dedup: one copy per file despite the race"
     );
     assert_eq!(stats.copies_completed, FILES as u64);
+}
+
+/// Readers `read_at` through the POSIX driver's handle cache while one
+/// thread rewrites the same files, removing them first on odd rounds and
+/// writing over them on even ones. Version `v` of a file is `v` as
+/// little-endian u64 words, so a torn read shows. A read returns NotFound
+/// or one whole version, no older than `floor` when the read began (a
+/// stale cached handle would serve one) and no newer than the last begun
+/// write when it ended.
+#[test]
+fn posix_readers_race_remove_and_rewrite() {
+    const FILES: usize = 4;
+    const SIZE: usize = 4096;
+    const ROUNDS: u64 = 100;
+    let root = std::env::temp_dir().join(format!("monarch-handle-soak-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let d = PosixDriver::new("ssd", &root).unwrap();
+    let content = |v: u64| -> Vec<u8> { v.to_le_bytes().repeat(SIZE / 8) };
+    let name = |i: usize| format!("shard-{i}.tfrecord");
+    // The oldest version a read starting now may return: raised past the
+    // old version once a remove returns, and to `v` once writing `v` returns.
+    let floor: Vec<AtomicU64> = (0..FILES).map(|_| AtomicU64::new(0)).collect();
+    let begun: Vec<AtomicU64> = (0..FILES).map(|_| AtomicU64::new(0)).collect();
+    for i in 0..FILES {
+        d.write_full(&name(i), &content(0)).unwrap();
+    }
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for _ in 0..3 {
+            s.spawn(|| {
+                let mut buf = vec![0u8; SIZE];
+                while !done.load(Ordering::Acquire) {
+                    for i in 0..FILES {
+                        let lo = floor[i].load(Ordering::Acquire);
+                        let read = d.read_at(&name(i), 0, &mut buf);
+                        let hi = begun[i].load(Ordering::Acquire);
+                        match read {
+                            Ok(n) => {
+                                assert_eq!(n, SIZE, "{}: short read", name(i));
+                                let v = u64::from_le_bytes(buf[..8].try_into().unwrap());
+                                assert_eq!(buf, content(v), "{}: mixed versions", name(i));
+                                assert!(
+                                    lo <= v && v <= hi,
+                                    "{}: v{v} outside [{lo}, {hi}]",
+                                    name(i)
+                                );
+                            }
+                            Err(Error::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+                            Err(e) => panic!("{}: {e:?}", name(i)),
+                        }
+                    }
+                }
+            });
+        }
+        s.spawn(|| {
+            for v in 1..=ROUNDS {
+                for i in 0..FILES {
+                    if v % 2 == 1 || v == ROUNDS {
+                        d.remove(&name(i)).unwrap();
+                        floor[i].store(v, Ordering::Release);
+                    }
+                    // The last round leaves the odd files removed.
+                    if v < ROUNDS || i % 2 == 0 {
+                        begun[i].store(v, Ordering::Release);
+                        d.write_full(&name(i), &content(v)).unwrap();
+                        floor[i].store(v, Ordering::Release);
+                    }
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+    });
+    let mut buf = vec![0u8; SIZE];
+    for i in 0..FILES {
+        match d.read_at(&name(i), 0, &mut buf) {
+            Ok(n) if i % 2 == 0 => {
+                assert_eq!(n, SIZE);
+                assert_eq!(buf, content(ROUNDS), "{} is not the last version", name(i));
+            }
+            Err(Error::Io(e)) if i % 2 == 1 => {
+                assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{}", name(i));
+            }
+            other => panic!("{}: unexpected final state {other:?}", name(i)),
+        }
+    }
+    std::fs::remove_dir_all(&root).unwrap();
 }

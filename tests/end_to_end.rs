@@ -276,5 +276,7 @@ fn namespace_is_ephemeral_across_instances() {
     assert_eq!(info.reads, 0);
     let bytes2 = m2.read_full(&name).unwrap();
     assert_eq!(bytes1, bytes2);
+    // Drain the placement that read scheduled before deleting its target.
+    drop(m2.shutdown());
     fs::remove_dir_all(&root).unwrap();
 }
