@@ -6,20 +6,20 @@
 //! `dlpipe` simulation — a modelled device. Callers address files by their
 //! *logical name* (the dataset-relative path), mirroring the paper's
 //! `Monarch.read`, which takes a filename; descriptors stay inside the
-//! driver ([`PosixDriver`] keeps a bounded cache of open handles and serves
-//! reads with one positional `pread`).
+//! driver (every [`PosixDriver`] of the process shares one bounded cache of
+//! open handles and serves reads with one positional `pread`).
 
 use std::fs;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
 use parking_lot::RwLock;
 
-use crate::hash::{hash_str, FxHashMap};
+use crate::hash::FxHashMap;
 use crate::telemetry::LatencyHistogram;
 use crate::{Error, Result};
 
@@ -59,12 +59,13 @@ pub trait StorageDriver: Send + Sync {
 // POSIX driver
 // ---------------------------------------------------------------------------
 
-/// Open handles one [`PosixDriver`] keeps at most, summed over its shards.
-const HANDLE_CAP: usize = 1024;
+/// Most open handles the process-wide cache keeps, however high the
+/// descriptor limit.
+const HANDLE_BUDGET_MAX: usize = 1024;
 
-/// Lock shards of the handle cache, so concurrent readers of different
-/// files rarely touch the same lock.
-const HANDLE_SHARDS: usize = 16;
+/// Soft `RLIMIT_NOFILE` assumed when `/proc/self/limits` cannot be read:
+/// the common default.
+const ASSUMED_NOFILE: usize = 1024;
 
 /// `EMFILE` / `ENFILE`: the process or the system is out of descriptors.
 const EMFILE: i32 = 24;
@@ -73,78 +74,133 @@ const ENFILE: i32 = 23;
 /// Gives every `write_full` temp file a name no other call shares.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// Identifies each [`PosixDriver`] in the shared handle cache.
+static DRIVER_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// The handle cache every [`PosixDriver`] of the process shares.
+static SHARED_HANDLES: LazyLock<Arc<HandleCache>> =
+    LazyLock::new(|| Arc::new(HandleCache::new(handle_budget())));
+
+/// Handles all drivers together may keep open: half the soft descriptor
+/// limit (512 under the common default of 1024), so the copy path,
+/// sockets and trace files keep the other half.
+fn handle_budget() -> usize {
+    let soft_nofile = fs::read_to_string("/proc/self/limits")
+        .ok()
+        .and_then(|limits| {
+            let line = limits
+                .lines()
+                .find_map(|l| l.strip_prefix("Max open files"))?;
+            line.split_whitespace().next()?.parse().ok()
+        })
+        .unwrap_or(ASSUMED_NOFILE);
+    (soft_nofile / 2).clamp(1, HANDLE_BUDGET_MAX)
+}
+
 #[derive(Default)]
-struct HandleShard {
-    handles: FxHashMap<String, Arc<fs::File>>,
+struct Handles {
+    by_driver: FxHashMap<u64, FxHashMap<String, Arc<fs::File>>>,
     /// Bumped by every invalidation; a miss inserts only if it is unchanged.
     generation: u64,
 }
 
-/// Bounded cache of open read handles, keyed by logical name.
+impl Handles {
+    /// Handles summed over every driver.
+    fn len(&self) -> usize {
+        self.by_driver.values().map(|files| files.len()).sum()
+    }
+}
+
+/// Open read handles of every [`PosixDriver`] sharing it, keyed by driver
+/// and logical name, with one cap over them all.
 ///
-/// A miss notes its shard's generation before opening and inserts only if
-/// no invalidation ran meanwhile, so a handle opened before an unlink or
+/// A miss notes the generation before opening and inserts only if no
+/// invalidation ran meanwhile, so a handle opened before an unlink or
 /// rename is served to that one read but never cached.
 struct HandleCache {
-    shards: Box<[RwLock<HandleShard>]>,
-    per_shard: usize,
+    inner: RwLock<Handles>,
+    cap: usize,
 }
 
 impl HandleCache {
     fn new(cap: usize) -> Self {
-        let shards = HANDLE_SHARDS.min(cap).max(1);
         Self {
-            shards: (0..shards).map(|_| RwLock::default()).collect(),
-            per_shard: (cap / shards).max(1),
+            inner: RwLock::default(),
+            cap,
         }
     }
 
-    fn shard(&self, file: &str) -> &RwLock<HandleShard> {
-        &self.shards[hash_str(file) as usize % self.shards.len()]
+    /// The cached handle for `file`, or on a miss the generation to hand
+    /// to [`HandleCache::insert`].
+    fn lookup(&self, driver: u64, file: &str) -> std::result::Result<Arc<fs::File>, u64> {
+        let handles = self.inner.read();
+        handles
+            .by_driver
+            .get(&driver)
+            .and_then(|files| files.get(file))
+            .cloned()
+            .ok_or(handles.generation)
     }
 
-    /// The cached handle for `file`, or on a miss the shard generation to
-    /// hand to [`HandleCache::insert`].
-    fn lookup(&self, file: &str) -> std::result::Result<Arc<fs::File>, u64> {
-        let shard = self.shard(file).read();
-        shard.handles.get(file).cloned().ok_or(shard.generation)
-    }
-
-    /// Cache `handle` unless the shard was invalidated since `generation`
-    /// was read; returns whether it was cached.
-    fn insert(&self, file: &str, handle: &Arc<fs::File>, generation: u64) -> bool {
-        let mut shard = self.shard(file).write();
-        if shard.generation != generation {
+    /// Cache `handle` unless an invalidation ran since `generation` was
+    /// read; returns whether it was cached. At the cap, an arbitrary handle
+    /// of the driver holding the most goes, so no tier is starved.
+    fn insert(&self, driver: u64, file: &str, handle: &Arc<fs::File>, generation: u64) -> bool {
+        let mut guard = self.inner.write();
+        let handles = &mut *guard;
+        if handles.generation != generation {
             return false;
         }
-        if shard.handles.len() >= self.per_shard && !shard.handles.contains_key(file) {
-            let victim = shard.handles.keys().next().cloned();
-            if let Some(victim) = victim {
-                shard.handles.remove(&victim);
+        if handles.len() >= self.cap {
+            let fullest = handles
+                .by_driver
+                .values_mut()
+                .max_by_key(|files| files.len());
+            if let Some(files) = fullest {
+                let victim = files.keys().next().cloned();
+                if let Some(victim) = victim {
+                    files.remove(&victim);
+                }
             }
         }
-        shard.handles.insert(file.to_owned(), Arc::clone(handle));
+        let files = handles.by_driver.entry(driver).or_default();
+        files.insert(file.to_owned(), Arc::clone(handle));
         true
     }
 
     /// Drop `file`'s handle; called after every unlink or rename of it.
-    fn invalidate(&self, file: &str) {
-        let mut shard = self.shard(file).write();
-        shard.handles.remove(file);
-        shard.generation += 1;
+    fn invalidate(&self, driver: u64, file: &str) {
+        let mut handles = self.inner.write();
+        if let Some(files) = handles.by_driver.get_mut(&driver) {
+            files.remove(file);
+        }
+        handles.generation += 1;
     }
 
-    /// Drop every handle (descriptor pressure). Nothing is renamed, so the
-    /// generations stay.
-    fn clear(&self) {
-        for shard in &*self.shards {
-            shard.write().handles.clear();
+    /// Drop a dropped driver's handles.
+    fn forget(&self, driver: u64) {
+        self.inner.write().by_driver.remove(&driver);
+    }
+
+    /// Run `open`; out of descriptors, drop every driver's cached handles
+    /// and retry once, so the cache never turns descriptor pressure into
+    /// tier errors. Nothing is renamed, so the generation stays.
+    fn shed_on_exhaustion<T>(
+        &self,
+        mut open: impl FnMut() -> std::io::Result<T>,
+    ) -> std::io::Result<T> {
+        match open() {
+            Err(e) if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) => {
+                self.inner.write().by_driver.clear();
+                open()
+            }
+            opened => opened,
         }
     }
 
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().handles.len()).sum()
+        self.inner.read().len()
     }
 }
 
@@ -152,34 +208,38 @@ impl HandleCache {
 /// the node-local SSD, or the Lustre dataset directory).
 ///
 /// Reads are positional (`pread`) on an open handle cached per logical
-/// name. The cache is invalidated by this driver's own `write_full` and
-/// `remove`, so tier contents must change only through the driver: an
-/// out-of-band unlink or replace is not seen while a handle is cached.
+/// name, in one cache all drivers of the process share. The cache is
+/// invalidated by this driver's own `write_full` and `remove`, so tier
+/// contents must change only through the driver: an out-of-band unlink or
+/// replace is not seen while a handle is cached.
 pub struct PosixDriver {
     name: String,
     root: PathBuf,
-    handles: HandleCache,
+    id: u64,
+    handles: Arc<HandleCache>,
 }
 
 impl PosixDriver {
     /// Create a driver rooted at `root`; the directory is created if absent
     /// (local cache tiers start empty).
     pub fn new(name: impl Into<String>, root: impl Into<PathBuf>) -> Result<Self> {
-        Self::with_handle_cap(name, root, HANDLE_CAP)
+        Self::with_handle_cache(name, root, Arc::clone(&SHARED_HANDLES))
     }
 
-    /// As [`PosixDriver::new`], caching at most `cap` open handles.
-    pub(crate) fn with_handle_cap(
+    /// As [`PosixDriver::new`], caching handles in `handles` instead of
+    /// the process-wide cache.
+    fn with_handle_cache(
         name: impl Into<String>,
         root: impl Into<PathBuf>,
-        cap: usize,
+        handles: Arc<HandleCache>,
     ) -> Result<Self> {
         let root = root.into();
         fs::create_dir_all(&root)?;
         Ok(Self {
             name: name.into(),
             root,
-            handles: HandleCache::new(cap),
+            id: DRIVER_SEQ.fetch_add(1, Ordering::Relaxed),
+            handles,
         })
     }
 
@@ -193,45 +253,53 @@ impl PosixDriver {
         self.root.join(file)
     }
 
-    /// Open `file` for reading. Out of descriptors, drop this driver's
-    /// cached handles and retry once, so the cache never turns descriptor
-    /// pressure into tier errors.
     fn open(&self, file: &str) -> std::io::Result<fs::File> {
         let path = self.resolve(file);
-        match fs::File::open(&path) {
-            Err(e) if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) => {
-                self.handles.clear();
-                fs::File::open(&path)
-            }
-            opened => opened,
-        }
+        self.handles.shed_on_exhaustion(|| fs::File::open(&path))
     }
 
     fn handle(&self, file: &str) -> std::io::Result<Arc<fs::File>> {
-        match self.handles.lookup(file) {
+        match self.handles.lookup(self.id, file) {
             Ok(handle) => Ok(handle),
             Err(generation) => {
                 let handle = Arc::new(self.open(file)?);
-                self.handles.insert(file, &handle, generation);
+                self.handles.insert(self.id, file, &handle, generation);
                 Ok(handle)
             }
         }
     }
 
     #[cfg(test)]
-    pub(crate) fn cached_handles(&self) -> usize {
-        self.handles.len()
+    fn cached_handles(&self) -> usize {
+        let handles = self.handles.inner.read();
+        handles
+            .by_driver
+            .get(&self.id)
+            .map_or(0, |files| files.len())
+    }
+}
+
+impl Drop for PosixDriver {
+    fn drop(&mut self) {
+        self.handles.forget(self.id);
     }
 }
 
 /// Write `data` to `tmp`, then rename it over `path`; `tmp` is removed if
 /// any step fails, so a failed copy leaves no unaccounted bytes behind.
-fn write_then_rename(tmp: &Path, path: &Path, data: &[u8]) -> std::io::Result<()> {
-    let written = fs::File::create(tmp).and_then(|mut f| {
-        f.write_all(data)?;
-        f.sync_data().ok(); // best-effort: cache tiers are ephemeral
-        Ok(())
-    });
+fn write_then_rename(
+    handles: &HandleCache,
+    tmp: &Path,
+    path: &Path,
+    data: &[u8],
+) -> std::io::Result<()> {
+    let written = handles
+        .shed_on_exhaustion(|| fs::File::create(tmp))
+        .and_then(|mut f| {
+            f.write_all(data)?;
+            f.sync_data().ok(); // best-effort: cache tiers are ephemeral
+            Ok(())
+        });
     let renamed = written.and_then(|()| fs::rename(tmp, path));
     if renamed.is_err() {
         let _ = fs::remove_file(tmp);
@@ -259,7 +327,8 @@ impl StorageDriver for PosixDriver {
     }
 
     fn read_full(&self, file: &str) -> Result<Vec<u8>> {
-        Ok(fs::read(self.resolve(file))?)
+        let path = self.resolve(file);
+        Ok(self.handles.shed_on_exhaustion(|| fs::read(&path))?)
     }
 
     fn write_full(&self, file: &str, data: &[u8]) -> Result<()> {
@@ -277,14 +346,14 @@ impl StorageDriver for PosixDriver {
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        write_then_rename(Path::new(&tmp), &path, data)?;
-        self.handles.invalidate(file);
+        write_then_rename(&self.handles, Path::new(&tmp), &path, data)?;
+        self.handles.invalidate(self.id, file);
         Ok(())
     }
 
     fn remove(&self, file: &str) -> Result<()> {
         let removed = fs::remove_file(self.resolve(file));
-        self.handles.invalidate(file);
+        self.handles.invalidate(self.id, file);
         Ok(removed?)
     }
 
@@ -296,7 +365,7 @@ impl StorageDriver for PosixDriver {
         let mut out = Vec::new();
         let mut stack = vec![self.root.clone()];
         while let Some(dir) = stack.pop() {
-            for entry in fs::read_dir(&dir)? {
+            for entry in self.handles.shed_on_exhaustion(|| fs::read_dir(&dir))? {
                 let entry = entry?;
                 let meta = entry.metadata()?;
                 if meta.is_dir() {
@@ -813,22 +882,105 @@ mod tests {
     }
 
     #[test]
-    fn posix_handle_cache_stays_within_its_cap() {
+    fn posix_drivers_sharing_a_cache_stay_within_its_cap() {
         let root = std::env::temp_dir().join(format!("monarch-cap-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
-        let d = PosixDriver::with_handle_cap("p", &root, 4).unwrap();
+        let cache = Arc::new(HandleCache::new(4));
+        let pfs = PosixDriver::with_handle_cache("pfs", root.join("pfs"), Arc::clone(&cache));
+        let ssd = PosixDriver::with_handle_cache("ssd", root.join("ssd"), Arc::clone(&cache));
+        let (pfs, ssd) = (pfs.unwrap(), ssd.unwrap());
         for i in 0..20u8 {
-            d.write_full(&format!("f{i}"), &[i; 8]).unwrap();
+            pfs.write_full(&format!("f{i}"), &[i; 8]).unwrap();
+            ssd.write_full(&format!("f{i}"), &[!i; 8]).unwrap();
         }
         let mut buf = [0u8; 8];
         for round in 0..2 {
             for i in 0..20u8 {
-                assert_eq!(d.read_at(&format!("f{i}"), 0, &mut buf).unwrap(), 8);
+                assert_eq!(pfs.read_at(&format!("f{i}"), 0, &mut buf).unwrap(), 8);
                 assert_eq!(buf, [i; 8], "round {round}");
-                assert!(d.cached_handles() <= 4, "{} handles", d.cached_handles());
+                assert_eq!(ssd.read_at(&format!("f{i}"), 0, &mut buf).unwrap(), 8);
+                assert_eq!(buf, [!i; 8], "round {round}");
+                assert!(cache.len() <= 4, "{} handles", cache.len());
             }
         }
-        assert!(d.cached_handles() > 0);
+        // Eviction takes from the fuller driver, so neither is starved.
+        let (p, s) = (pfs.cached_handles(), ssd.cached_handles());
+        assert!(p > 0 && s > 0 && p + s == 4, "{p} + {s} handles");
+        drop(pfs);
+        assert_eq!(cache.len(), s, "a dropped driver's handles are closed");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Set in the child process of
+    /// [`posix_descriptor_exhaustion_sheds_every_drivers_handles`].
+    const FD_CHILD: &str = "MONARCH_DRIVER_FD_CHILD";
+
+    /// Runs in a child process with a soft limit of 64 descriptors, so the
+    /// tests running beside it keep theirs. One driver fills the shared
+    /// cache, the rest of the descriptors are taken, and every kind of
+    /// open the other driver makes must still succeed by shedding.
+    #[test]
+    fn posix_descriptor_exhaustion_sheds_every_drivers_handles() {
+        if std::env::var_os(FD_CHILD).is_none() {
+            let child = std::process::Command::new("sh")
+                .arg("-c")
+                .arg(r#"ulimit -n 64 && exec "$0" "$1" --exact --test-threads=1"#)
+                .arg(std::env::current_exe().unwrap())
+                .arg("driver::tests::posix_descriptor_exhaustion_sheds_every_drivers_handles")
+                .env(FD_CHILD, "1")
+                .output()
+                .unwrap();
+            let stdout = String::from_utf8_lossy(&child.stdout);
+            assert!(child.status.success(), "child failed:\n{stdout}");
+            return;
+        }
+        assert_eq!(SHARED_HANDLES.cap, 32, "half the soft limit");
+        let root = std::env::temp_dir().join(format!("monarch-emfile-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let pfs = PosixDriver::new("pfs", root.join("pfs")).unwrap();
+        let ssd = PosixDriver::new("ssd", root.join("ssd")).unwrap();
+        for i in 0..40u8 {
+            pfs.write_full(&format!("f{i}"), &[i; 8]).unwrap();
+        }
+        ssd.write_full("x", b"local").unwrap();
+        let mut hog = Vec::new();
+        // Fill the cache from the PFS driver, then take every free descriptor.
+        let exhaust = |hog: &mut Vec<fs::File>| {
+            hog.clear();
+            let mut buf = [0u8; 8];
+            for i in 0..40u8 {
+                pfs.read_at(&format!("f{i}"), 0, &mut buf).unwrap();
+            }
+            assert_eq!(pfs.cached_handles(), 32);
+            loop {
+                match fs::File::open("/dev/null") {
+                    Ok(f) => hog.push(f),
+                    Err(e) => break assert_eq!(e.raw_os_error(), Some(EMFILE)),
+                }
+            }
+        };
+        let mut buf = [0u8; 5];
+        exhaust(&mut hog);
+        ssd.write_full("y", b"copied").unwrap();
+        assert_eq!(pfs.cached_handles(), 0);
+        exhaust(&mut hog);
+        assert_eq!(ssd.read_full("y").unwrap(), b"copied");
+        exhaust(&mut hog);
+        assert_eq!(ssd.list().unwrap().len(), 2);
+        exhaust(&mut hog);
+        assert_eq!(ssd.read_at("x", 0, &mut buf).unwrap(), 5);
+        assert_eq!(&buf, b"local");
+        // Pressure the cache cannot relieve still reaches the caller.
+        ssd.remove("x").unwrap();
+        assert_eq!(SHARED_HANDLES.len(), 0);
+        while let Ok(f) = fs::File::open("/dev/null") {
+            hog.push(f);
+        }
+        match ssd.read_at("y", 0, &mut buf) {
+            Err(Error::Io(e)) => assert_eq!(e.raw_os_error(), Some(EMFILE)),
+            other => panic!("expected EMFILE, got {other:?}"),
+        }
+        drop(hog);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -838,12 +990,13 @@ mod tests {
     fn posix_handle_opened_before_remove_is_never_cached() {
         let root = std::env::temp_dir().join(format!("monarch-stale-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
-        let d = PosixDriver::new("p", &root).unwrap();
+        let cache = Arc::new(HandleCache::new(16));
+        let d = PosixDriver::with_handle_cache("p", &root, Arc::clone(&cache)).unwrap();
         d.write_full("f", b"evicted").unwrap();
-        let generation = d.handles.lookup("f").unwrap_err();
+        let generation = cache.lookup(d.id, "f").unwrap_err();
         let handle = Arc::new(d.open("f").unwrap());
         d.remove("f").unwrap();
-        assert!(!d.handles.insert("f", &handle, generation));
+        assert!(!cache.insert(d.id, "f", &handle, generation));
         assert_eq!(d.cached_handles(), 0);
         let mut buf = [0u8; 7];
         match d.read_at("f", 0, &mut buf) {
